@@ -40,12 +40,10 @@ N_SHARDS = 4
 QUERY_MIX = ["a & b", "(a & b) | ~c", "a ^ c", "maj(a, b, c)"]
 
 
-def _make_service(*, workers: int = 1,
-                  replicas: int = 0) -> BitwiseService:
+def _make_service(*, workers: int = 1) -> BitwiseService:
     rng = np.random.default_rng(7)
     service = BitwiseService("feram-2tnc", n_bits=N_BITS,
-                             n_shards=N_SHARDS, workers=workers,
-                             replicas=replicas)
+                             n_shards=N_SHARDS, workers=workers)
     if workers > 1:
         # The 64Ki-bit bench table is far below the default
         # work threshold; drop it so the process tier actually
@@ -146,18 +144,23 @@ def serving_latency(*, n_clients: int = 6, requests_per_client: int = 40,
                     batch_window_s: float = 0.0005,
                     wire: str = "json",
                     durable: bool = False,
-                    workers: int = 1, replicas: int = 0) -> dict:
+                    workers: int = 1) -> dict:
     """Closed-loop mixed query/mutation load; p50/p99 and queries/s.
 
     ``durable=True`` runs the identical load with a write-ahead log
     attached (``sync="batch"``: one fsync per mutation barrier), so
     the recorded delta against the plain run is the end-to-end WAL
     overhead on the serving path.  ``workers>1`` serves through the
-    multi-process shard-worker tier over the shared-memory store;
-    ``replicas>0`` adds asynchronously-fed read replicas (queries
-    route to them under the generation-fence staleness contract).
+    multi-process shard-worker tier over the shared-memory store; the
+    pool is spawned (one warm-up query) before the timed window, and
+    that cold start is returned on its own as ``spawn_s``.
     """
-    service = _make_service(workers=workers, replicas=replicas)
+    service = _make_service(workers=workers)
+    spawn_s = 0.0
+    if workers > 1:
+        start = time.perf_counter()
+        service.query(QUERY_MIX[0], use_cache=False)
+        spawn_s = time.perf_counter() - start
     data_dir = None
     if durable:
         data_dir = tempfile.TemporaryDirectory(prefix="repro-wal-")
@@ -197,9 +200,7 @@ def serving_latency(*, n_clients: int = 6, requests_per_client: int = 40,
             "seconds": elapsed,
             "wire": wire,
             "workers": workers,
-            "replicas": replicas,
-            "replica_reads": stats.get("executor", {}).get(
-                "replica_reads", 0),
+            "spawn_s": spawn_s,
             "clients": n_clients,
             "requests": total,
             "mutation_share": mutation_share,

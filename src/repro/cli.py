@@ -62,11 +62,6 @@ def _service_parser(prog: str) -> argparse.ArgumentParser:
                              "large plan's row blocks across pinned "
                              "processes (default: 1, serial "
                              "in-process execution)")
-    parser.add_argument("--replicas", type=int, default=0,
-                        help="asynchronously-fed read replicas of "
-                             "the shared-memory store; reads route "
-                             "to them under the generation-fence "
-                             "staleness contract (default: 0)")
     parser.add_argument("--no-fuse", action="store_true",
                         help="disable the peephole fuser on vector "
                              "programs (run the unfused bytecode)")
@@ -94,8 +89,7 @@ def _cmd_query(argv: list[str]) -> int:
                         backend=args.backend,
                         capacity=args.capacity,
                         fuse=not args.no_fuse,
-                        workers=args.workers,
-                        replicas=args.replicas) as service:
+                        workers=args.workers) as service:
         for index, name in enumerate(expr.cols()):
             service.random_column(name, args.density,
                                   seed=args.seed + index)
@@ -263,8 +257,7 @@ def _cmd_serve(argv: list[str]) -> int:
             n_shards=args.shards, capacity=args.capacity,
             snapshot_every=args.snapshot_every or None,
             sync=args.wal_sync, injector=injector,
-            fuse=not args.no_fuse, workers=args.workers,
-            replicas=args.replicas)
+            fuse=not args.no_fuse, workers=args.workers)
         recovery = service.durability.last_recovery
         print(f"recovered from {args.data_dir}: "
               f"generation {recovery['generation']}, "
@@ -279,8 +272,7 @@ def _cmd_serve(argv: list[str]) -> int:
                                  backend=args.backend,
                                  capacity=args.capacity,
                                  fuse=not args.no_fuse,
-                                 workers=args.workers,
-                                 replicas=args.replicas)
+                                 workers=args.workers)
     with service:
         if args.port is None:
             try:

@@ -10,12 +10,13 @@ Two interchangeable execution backends answer every query:
   runs as one whole-matrix numpy kernel (all shards at once, no
   locks, GIL released).  Energy/cycle/primitive accounting is computed
   in closed form from the plan's probed charge events
-  (:func:`~repro.arch.primitives.plan_stats`).  With ``workers=N`` the
-  matrices live in shared memory and pinned worker processes
-  (:mod:`repro.service.shard_workers`) each execute their own block of
-  shard rows, returning only popcounts; ``replicas=R`` adds
-  asynchronously-fed read replicas served under a generation-fence
-  staleness contract (read-your-writes per tenant).
+  (:func:`~repro.arch.primitives.plan_stats`).  There is one store and
+  one executor: with ``workers=N`` the same store allocates its
+  matrices in shared memory, and large plans scatter to pinned worker
+  processes (:mod:`repro.service.shard_workers`) that each execute
+  their own block of shard rows and return only popcounts.  Mutations
+  write dirty words in place under the table write lock; query
+  batches and programs hold its read side while they run.
 * **reference** — the engine-replay ground truth: one
   :class:`~repro.arch.engine.BulkEngine` per shard, thread-pool
   fan-out behind per-shard locks.  The vector backend is pinned
@@ -71,12 +72,7 @@ from repro.service.service import (
     QueryResult,
     StatementStats,
 )
-from repro.service.shard_workers import (
-    ReplicaSet,
-    ReplicaStore,
-    SharedColumnStore,
-    WorkerPool,
-)
+from repro.service.shard_workers import WorkerPool
 from repro.service.tenancy import TenantState, TenantView
 
 __all__ = [
@@ -91,10 +87,7 @@ __all__ = [
     "ProgramResult",
     "QueryResult",
     "QueryServer",
-    "ReplicaSet",
-    "ReplicaStore",
     "RequestScheduler",
-    "SharedColumnStore",
     "ShuttingDownError",
     "StatementStats",
     "WorkerPool",

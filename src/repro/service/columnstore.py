@@ -6,15 +6,17 @@ instead holds each named column as **one contiguous packed-``uint64``
 matrix** of shape ``(n_shards, words_per_shard)``.  A compiled query
 then advances *all* shards together: each plan step is a single
 ``np.bitwise_*(..., out=)`` kernel over the whole 2-D matrix — no
-per-shard Python dispatch, no locks, and numpy releases the GIL for the
-duration of every kernel.
+per-shard Python dispatch, and numpy releases the GIL for the duration
+of every kernel.
 
-Matrices are populated at ``create_column`` and shared zero-copy with
-query execution (programs only ever *read* column matrices; all writes
-target scratch registers from the :class:`MatrixPool`).  Mutations
-rebind a column to a freshly packed matrix (:meth:`ColumnStore.set`,
-copy-on-write), so a query holding a :meth:`ColumnStore.snapshot`
-keeps serving a consistent pre-mutation view.
+Matrices come from one of two allocators, chosen at construction: the
+heap, or named shared-memory segments (:class:`SegmentArena`) that
+shard-worker processes map zero-copy.  Either way the store has one
+write model: :meth:`ColumnStore.set` writes the dirty words **in
+place**.  Programs only ever *read* column matrices (all writes target
+scratch registers from the :class:`MatrixPool`), and the owning service
+serializes ``set``/``resize`` against running queries with its table
+readers/writer lock.
 
 Shard geometry is word-aligned and identical to the reference backend's
 (:func:`shard_spans`), so results sliced per shard are bit-for-bit the
@@ -26,16 +28,25 @@ produced by NOT-like kernels never leaks into counts or readouts.
 
 from __future__ import annotations
 
+import itertools
+import os
 import threading
+import weakref
+from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.errors import QueryError
 
-__all__ = ["ColumnStore", "MatrixPool", "PackedBits", "shard_spans",
-           "popcount_words", "dirty_word_indices"]
+__all__ = ["ColumnStore", "MatrixPool", "PackedBits", "SegmentArena",
+           "shard_spans", "popcount_words", "dirty_word_indices"]
 
 WORD_BITS = 64
+
+#: distinguishes this service's segments in /dev/shm (tests assert no
+#: ``repb*`` entries leak past close or process exit)
+SEGMENT_PREFIX = "repb"
+_ARENA_SEQ = itertools.count()
 
 
 def dirty_word_indices(old_bits: np.ndarray, new_bits: np.ndarray,
@@ -86,6 +97,69 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
     flat = np.ascontiguousarray(words).view(np.uint8)
     bits = np.unpackbits(flat).reshape(words.size, 8 * words.dtype.itemsize)
     return bits.sum(axis=1, dtype=np.int64).reshape(words.shape)
+
+
+def close_quietly(shm: shared_memory.SharedMemory) -> None:
+    try:
+        shm.close()
+    except (BufferError, OSError):  # pragma: no cover - defensive
+        pass
+
+
+def _release_segments(live: dict, retired: list) -> None:
+    """Unlink and unmap every live and retired segment of an arena."""
+    for shm in [*live.values(), *retired]:
+        try:
+            shm.unlink()
+        except FileNotFoundError:  # retired segments are unlinked
+            pass
+        close_quietly(shm)
+    live.clear()
+    retired.clear()
+
+
+class SegmentArena:
+    """Zeroed ``uint64`` matrices of one shape in named shared memory.
+
+    Worker processes attach a matrix by its segment name; only the
+    arena creates and unlinks segments.  :meth:`retire` unlinks a
+    segment at once (its ``/dev/shm`` entry disappears) but keeps the
+    mapping until :meth:`close`, so readers already holding the pages
+    keep valid memory.  A ``weakref.finalize`` registered with the
+    arena runs the same release when the owner is collected or the
+    process exits without calling :meth:`close`.
+    """
+
+    def __init__(self, shape: tuple[int, int], tag: str) -> None:
+        self.shape = tuple(shape)
+        self.prefix = \
+            f"{SEGMENT_PREFIX}{os.getpid()}{tag}{next(_ARENA_SEQ)}"
+        self._seq = itertools.count()
+        self._live: dict[str, shared_memory.SharedMemory] = {}
+        self._retired: list[shared_memory.SharedMemory] = []
+        self._finalizer = weakref.finalize(
+            self, _release_segments, self._live, self._retired)
+
+    def alloc(self) -> tuple[str, np.ndarray]:
+        """A fresh segment (the OS zero-fills it) and its matrix view."""
+        name = f"{self.prefix}n{next(self._seq)}"
+        shm = shared_memory.SharedMemory(
+            name=name, create=True, size=int(np.prod(self.shape)) * 8)
+        self._live[name] = shm
+        return name, np.ndarray(self.shape, dtype=np.uint64,
+                                buffer=shm.buf)
+
+    def retire(self, name: str) -> None:
+        shm = self._live.pop(name)
+        try:
+            shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
+        self._retired.append(shm)
+
+    def close(self) -> None:
+        """Unlink and unmap every segment (idempotent)."""
+        self._finalizer()
 
 
 class MatrixPool:
@@ -193,10 +267,15 @@ class ColumnStore:
         the capacity via :meth:`resize` (row appends) without
         re-sharding — bits beyond ``n_bits`` are zero in every column
         matrix and masked out of reductions.
+    shared:
+        Allocate every matrix (columns and the validity mask) in named
+        shared memory so shard-worker processes can map it; default
+        is the heap.  Call :meth:`close` to unlink the segments.
     """
 
     def __init__(self, n_bits: int, n_shards: int, *,
-                 capacity: int | None = None) -> None:
+                 capacity: int | None = None,
+                 shared: bool = False) -> None:
         if n_bits <= 0:
             raise QueryError("table width must be positive")
         self.capacity = int(capacity if capacity is not None else n_bits)
@@ -213,6 +292,12 @@ class ColumnStore:
         self.words_per_shard = max(self.shard_words)
         self.shape = (self.n_shards, self.words_per_shard)
         self._matrices: dict[str, np.ndarray] = {}
+        self._arena = SegmentArena(self.shape, "x") if shared else None
+        #: shared-memory segment name per column (shared stores only)
+        self._segments: dict[str, str] = {}
+        #: per-column write generation, shipped with worker jobs
+        self.generations: dict[str, int] = {}
+        self._mask_segment, self._mask = self._allocate()
         # Uniform layout (every shard holds a full words_per_shard run):
         # the matrix rows concatenate into one contiguous word stream,
         # so readouts reduce to a single unpackbits over the matrix.
@@ -224,17 +309,35 @@ class ColumnStore:
         """Set the logical width (grows toward capacity on appends).
 
         Column matrices are already zero beyond the old width, so only
-        the validity mask needs rebuilding; callers write appended
-        values afterwards via :meth:`set`.
+        the validity mask is rewritten (in place — workers map it);
+        callers write appended values afterwards via :meth:`set`.
         """
         if not 0 < n_bits <= self.capacity:
             raise QueryError(
                 f"logical width {n_bits} outside (0, {self.capacity}]")
         self.n_bits = int(n_bits)
         # Validity mask: 1-bits exactly at positions holding table bits.
-        self._mask = self._pack(np.ones(self.n_bits, dtype=np.uint8))
+        np.copyto(self._mask,
+                  self._pack(np.ones(self.n_bits, dtype=np.uint8)))
         self._full = self._uniform and self.n_bits == \
             self.n_shards * self.words_per_shard * WORD_BITS
+
+    def _allocate(self) -> tuple[str | None, np.ndarray]:
+        """A zeroed matrix and its segment name (``None`` on the heap)."""
+        if self._arena is None:
+            return None, np.zeros(self.shape, dtype=np.uint64)
+        return self._arena.alloc()
+
+    @property
+    def mask_segment(self) -> str | None:
+        """Mask segment name for workers (None when fully valid)."""
+        return None if self._full else self._mask_segment
+
+    def segment_name(self, name: str) -> str:
+        try:
+            return self._segments[name]
+        except KeyError:
+            raise QueryError(f"no shared segment for {name!r}") from None
 
     # ------------------------------------------------------------------
     # packing / unpacking
@@ -340,22 +443,41 @@ class ColumnStore:
     def add(self, name: str, bits: np.ndarray) -> None:
         if name in self._matrices:
             raise QueryError(f"column {name!r} already exists")
-        self._matrices[name] = self._pack(bits)
+        packed = self._pack(bits)  # validates before allocating
+        segment, matrix = self._allocate()
+        np.copyto(matrix, packed)
+        if segment is not None:
+            self._segments[name] = segment
+        self._matrices[name] = matrix
+        self.generations[name] = 1
 
     def set(self, name: str, bits: np.ndarray) -> None:
-        """Rebind a column to a freshly packed matrix (copy-on-write).
+        """Write the words that differ from ``bits`` in place.
 
-        The old matrix is never written in place: queries holding a
-        :meth:`snapshot` keep serving the pre-mutation table view.
+        Not atomic against concurrent readers: the caller holds the
+        table write lock (queries hold the read side).
+        """
+        flat_old = self.matrix(name).reshape(-1)
+        flat_new = self._pack(bits).reshape(-1)
+        dirty = np.flatnonzero(flat_old != flat_new)
+        flat_old[dirty] = flat_new[dirty]
+        self.generations[name] += 1
+
+    def drop(self, name: str) -> str | None:
+        """Remove a column; returns its retired segment name (if any).
+
+        A retired segment is unlinked now but stays mapped until
+        :meth:`close`, so a query that bound the matrix before the drop
+        still reads valid pages.
         """
         if name not in self._matrices:
             raise QueryError(f"no column {name!r}")
-        self._matrices[name] = self._pack(bits)
-
-    def drop(self, name: str) -> None:
-        if name not in self._matrices:
-            raise QueryError(f"no column {name!r}")
         del self._matrices[name]
+        del self.generations[name]
+        segment = self._segments.pop(name, None)
+        if segment is not None:
+            self._arena.retire(segment)
+        return segment
 
     def matrix(self, name: str) -> np.ndarray:
         try:
@@ -367,12 +489,10 @@ class ColumnStore:
         return self.unpack(self.matrix(name))
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        """Point-in-time binding of every column to its matrix.
+        """Binding of every column to its current matrix.
 
-        Matrices are immutable once created, so a query holding a
-        snapshot keeps serving a consistent table view even if columns
-        are concurrently dropped/recreated (the service's generation
-        guard keeps such results out of the cache).
+        Survives later drops and re-adds (they rebind names, never
+        reuse a matrix), but not :meth:`set`, which writes in place.
         """
         return dict(self._matrices)
 
@@ -381,3 +501,11 @@ class ColumnStore:
 
     def __len__(self) -> int:
         return len(self._matrices)
+
+    def close(self) -> None:
+        """Unlink every shared-memory segment (idempotent; heap
+        matrices are left to the garbage collector)."""
+        if self._arena is not None:
+            self._matrices.clear()
+            self._mask = None
+            self._arena.close()

@@ -11,19 +11,23 @@ logic-in-memory pipelines.
 Two execution backends answer queries:
 
 * ``backend="vector"`` (default) — the **columnar plan-vectorized
-  executor**: columns live in a :class:`~repro.service.columnstore.
-  ColumnStore` as packed ``(n_shards, words_per_shard)`` uint64
-  matrices, each compiled plan lowers once to register-machine
-  bytecode (:meth:`~repro.arch.expr.CompiledQuery.vector_program`),
-  and every plan step executes as a single ``np.bitwise_*`` kernel
-  over the whole matrix — all shards advance together, lock-free, with
-  numpy releasing the GIL.  Energy/cycle/primitive accounting comes
-  from the closed-form plan coster
-  (:func:`~repro.arch.primitives.plan_stats`), which is Stats-exact
-  against an engine replay.  Shared sub-expressions are deduplicated
-  *across* the queries of a batch through a per-batch node cache
-  (a host-simulation optimization only: attributed costs still model
-  each query's full plan).
+  executor**, with one store and one executor.  Columns live in a
+  :class:`~repro.service.columnstore.ColumnStore` as packed
+  ``(n_shards, words_per_shard)`` uint64 matrices: on the heap with
+  one worker, in shared memory with ``workers > 1``.  Each compiled
+  plan lowers once to register-machine bytecode
+  (:meth:`~repro.arch.expr.CompiledQuery.vector_program`), and
+  :meth:`BitwiseService._run_batch` runs every plan of a batch under
+  the table read lock — in-process as whole-matrix ``np.bitwise_*``
+  kernels, or scattered to shard-worker processes
+  (:mod:`repro.service.shard_workers`) when the work clears a cost
+  floor.  Energy/cycle/primitive accounting comes from the
+  closed-form plan coster (:func:`~repro.arch.primitives.plan_stats`),
+  which is Stats-exact against an engine replay.  Shared
+  sub-expressions are deduplicated *across* the queries of a batch
+  through a per-tenant node cache (a host-simulation optimization
+  only: attributed costs still model each query's full plan).
+  Programs take the same path.
 
 * ``backend="reference"`` — the engine-replay path: one
   :class:`~repro.arch.engine.BulkEngine` per shard, every (query,
@@ -45,17 +49,16 @@ The table is **mutable and multi-tenant**:
   FeRAM TBA-write / DRAM restore energy, and query reads accrue
   disturb that triggers QNRO scrubs per the §II write-back economics —
   on a maintenance ledger separate from per-query compute costs.
-  Values are applied copy-on-write (vector backend) or under a
+  Both backends write payloads in place under the write side of a
   writer-preferring table lock whose read side spans each query
-  batch's whole shard fan-out (reference backend), so concurrent
-  queries keep serving a consistent pre-mutation snapshot — never a
-  torn cross-shard mix.
+  batch's whole execution, so a query sees the table entirely before
+  or entirely after a mutation — never a torn cross-shard mix.
 * Result caching is **dependency-aware**: every cached result is
   indexed by the physical columns its plan reads, and a mutation only
   evicts dependent entries — cache hits survive writes to unrelated
   columns.  Per-column generation counters (plus a table-wide epoch
-  bumped by row appends) keep results computed from a pre-mutation
-  snapshot out of the cache.
+  bumped by row appends) keep results that raced a mutation out of
+  the cache.
 * Tenant namespaces (:mod:`repro.service.tenancy`) map logical column
   names onto disjoint physical names in the shared store, with
   per-tenant bit/cache quotas; compiled plans are shared across
@@ -97,15 +100,10 @@ from repro.service.columnstore import (
     MatrixPool,
     PackedBits,
     dirty_word_indices,
-    popcount_words,
     shard_spans,
 )
 from repro.service.durability import stats_to_dict
-from repro.service.shard_workers import (
-    ReplicaSet,
-    SharedColumnStore,
-    WorkerPool,
-)
+from repro.service.shard_workers import WorkerPool
 from repro.service.tenancy import (
     TenantState,
     TenantView,
@@ -239,13 +237,14 @@ class _CacheEntry:
 
 
 class _RWLock:
-    """Writer-preferring readers/writer lock.
+    """Writer-preferring readers/writer lock (the table lock).
 
-    Reference-backend query batches hold the read side across their
-    whole per-shard fan-out, so an in-place payload mutation (the
-    write side) can never interleave mid-batch and hand a query a
-    torn cross-shard mix of old and new bits.  Waiting writers block
-    new readers, so a mutation cannot be starved by a query stream.
+    Query batches and programs hold the read side across their whole
+    execution (every shard, every plan), so an in-place payload
+    mutation (the write side) can never interleave mid-batch and hand
+    a query a torn cross-shard mix of old and new bits.  Waiting
+    writers block new readers, so a mutation cannot be starved by a
+    query stream.  Not reentrant: a reader must not re-acquire.
     """
 
     def __init__(self) -> None:
@@ -323,6 +322,10 @@ class BitwiseService:
         numpy kernels with closed-form cost accounting;
         ``"reference"`` replays plans on per-shard engines (the pinned
         ground truth).
+    workers:
+        Shard-worker processes for the vector backend.  Above 1 the
+        store lives in shared memory and large plans scatter across
+        the workers; 1 (default) runs everything in-process.
     """
 
     def __init__(self, technology: str = "feram-2tnc", *,
@@ -334,8 +337,7 @@ class BitwiseService:
                  backend: str = "vector",
                  capacity: int | None = None,
                  fuse: bool = True,
-                 workers: int | None = None,
-                 replicas: int = 0) -> None:
+                 workers: int | None = None) -> None:
         if n_bits <= 0:
             raise QueryError("table width must be positive")
         if n_shards <= 0:
@@ -347,8 +349,6 @@ class BitwiseService:
         self.backend = backend
         #: multi-process shard workers (1 = in-process serial)
         self.workers = max(1, int(workers)) if workers is not None else 1
-        #: read replicas of the shared store (0 = primary-only reads)
-        self.replicas = max(0, int(replicas))
         self.n_bits = int(n_bits)
         #: physical table width the shard geometry covers; the logical
         #: width can grow up to this via append_rows without resharding
@@ -385,17 +385,11 @@ class BitwiseService:
                     f"spec {spec.name!r} is not a {technology!r} spec")
             self._shards = []
             self._pool = None
-            # Shared-memory store when process workers or replicas are
-            # requested: same geometry and packing, but matrices live
-            # in shm segments that worker processes map zero-copy.
-            if functional:
-                store_cls = SharedColumnStore \
-                    if (self.workers > 1 or self.replicas > 0) \
-                    else ColumnStore
-                self._store = store_cls(self.n_bits, n_shards,
-                                        capacity=self.capacity)
-            else:
-                self._store = None
+            # Process workers map the matrices zero-copy, so with
+            # workers > 1 they live in shared memory.
+            self._store = ColumnStore(
+                self.n_bits, n_shards, capacity=self.capacity,
+                shared=self.workers > 1) if functional else None
             self._ledger = Stats()  # merged analytic engine ledger
             self._tba_offsets = [0] * len(spans)
             # Complement-flag encodings the reference engines would
@@ -410,8 +404,6 @@ class BitwiseService:
             self._inverting = self._spec.technology == "feram-2tnc"
         #: run peephole-fused bytecode on the vector backend
         self.fuse = bool(fuse)
-        #: the store is a SharedColumnStore (process workers/replicas)
-        self._shared_store = isinstance(self._store, SharedColumnStore)
         self._worker_pool: WorkerPool | None = None
         self._worker_pool_lock = threading.Lock()
         # Cost heuristic floor for going multi-process: matrix bytes ×
@@ -420,23 +412,9 @@ class BitwiseService:
         # either mode.
         self._parallel_min_work = 64 << 20
         self._stats_lock = threading.Lock()
-        # Guards table payloads: query batches hold the read side
-        # across execution, in-place mutations the write side.  The
-        # plain (non-shared) vector store mutates copy-on-write and
-        # needs no read side; the shared store writes dirty words in
-        # place and reuses this lock as its snapshot barrier.
+        # Guards table payloads: query batches and programs hold the
+        # read side across execution, in-place writes the write side.
         self._table_rw = _RWLock()
-        #: per-tenant generation fences: tenant -> {physical: last
-        #: write generation} — a replica may serve the tenant only at
-        #: or past its own writes (read-your-writes)
-        self._fences: dict[str | None, dict[str, int]] = {}
-        self.replica_reads = 0
-        self._replica_set: ReplicaSet | None = None
-        if self._shared_store and self.replicas > 0:
-            self._replica_set = ReplicaSet(
-                self._store, self.replicas,
-                read_lock=self._table_rw.read,
-                forget=self._forget_segment)
         # Mutation-path maintenance ledger: dirty-row write charges and
         # read-disturb scrub economics (see arch/writeback.py), kept
         # separate from the compute ledger and identical on both
@@ -486,14 +464,6 @@ class BitwiseService:
         # state change and snapshots the packed store periodically.
         self._durability = None
         self._closed = False
-
-    # ------------------------------------------------------------------
-    # sharding geometry
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _spans(n_bits: int, n_shards: int) -> list[tuple[int, int]]:
-        """Word-aligned contiguous shard spans covering ``n_bits``."""
-        return shard_spans(n_bits, n_shards)
 
     # ------------------------------------------------------------------
     # tenants
@@ -587,10 +557,9 @@ class BitwiseService:
                     "functional service requires explicit column bits")
             self._log_wal({"kind": "create", "tenant": tenant,
                            "name": name}, bits)
-            event = None
             if self.backend == "vector":
                 if self._store is not None:
-                    event = self._store.add(physical, bits)
+                    self._store.add(physical, bits)
                 with self._stats_lock:
                     if self.functional:
                         # Mirror the reference path exactly: only a
@@ -622,7 +591,6 @@ class BitwiseService:
                         shard.columns[physical] = vec
             self._columns[physical] = self.n_bits
             state.columns[name] = physical
-            self._publish_event(event)
             self._maybe_checkpoint()
 
     def random_column(self, name: str, density: float = 0.5,
@@ -645,10 +613,10 @@ class BitwiseService:
             physical = state.resolve(name)
             self._log_wal({"kind": "drop", "tenant": tenant,
                            "name": name})
-            event = None
+            segment = None
             if self.backend == "vector":
                 if self._store is not None:
-                    event = self._store.drop(physical)
+                    segment = self._store.drop(physical)
                 with self._stats_lock:
                     self._rows_used -= sum(self._shard_rows)
                     self._col_flags.pop(physical, None)
@@ -665,7 +633,8 @@ class BitwiseService:
             with self._stats_lock:
                 self._writeback.forget(physical)
             self._invalidate_columns((physical,))
-            self._publish_event(event)
+            if segment is not None and self._worker_pool is not None:
+                self._worker_pool.forget(segment)
             self._maybe_checkpoint()
 
     @property
@@ -679,19 +648,7 @@ class BitwiseService:
         physical = self._resolve(tenant, name)
         if not self.functional:
             return None
-        if self.backend == "vector":
-            return self._store.bits(physical)
-        return self._physical_bits(physical)
-
-    def _physical_bits(self, physical: str) -> np.ndarray:
-        """Reference-backend readout, sliced to the logical width."""
-        parts = []
-        with self._table_rw.read():
-            for shard in self._shards:
-                with shard.lock:
-                    parts.append(shard.columns[physical].logical_bits()
-                                 [: shard.n_bits])
-        return np.concatenate(parts)[: self.n_bits]
+        return self._current_bits(physical)
 
     # ------------------------------------------------------------------
     # column mutation
@@ -758,9 +715,8 @@ class BitwiseService:
                 words = dirty_word_indices(old, new, offset,
                                            offset + size)
                 rows_by_shard = self._rows_by_shard_words(words)
-                event = self._apply_bits(physical, new)
-                self._publish_event(event, tenant=tenant,
-                                    physical=physical)
+                with self._table_rw.write():
+                    self._write_payload(physical, new)
             else:
                 rows_by_shard = self._rows_by_shard_span(
                     offset, offset + size)
@@ -852,20 +808,15 @@ class BitwiseService:
                 span_rows = self._rows_by_shard_span(old_n, new_n)
                 per_column = dict.fromkeys(arrays, span_rows)
             self.n_bits = new_n
-            resize_event = None
-            if self._store is not None:
-                if self._shared_store:
-                    # Readers consult the mask during popcounts; the
-                    # in-place mask rewrite needs the write barrier.
-                    with self._table_rw.write():
-                        resize_event = self._store.resize(new_n)
-                else:
+            # One write section: readers see the old width and values
+            # or the new ones, never the mask of one with the other.
+            with self._table_rw.write():
+                if self._store is not None:
                     self._store.resize(new_n)
-            set_events = self._apply_append(news)
-            self._publish_event(resize_event)
-            for physical, event in set_events:
-                self._publish_event(event, tenant=tenant,
-                                    physical=physical)
+                for physical, new in news.items():
+                    self._write_payload(physical, new)
+            # Appends re-encode every column to the plain polarity.
+            self._normalize_encoding(self._columns)
             for physical in self._columns:
                 self._columns[physical] = new_n
             total = Stats()
@@ -892,13 +843,30 @@ class BitwiseService:
 
     # -- mutation plumbing ---------------------------------------------
     def _current_bits(self, physical: str) -> np.ndarray:
-        if self.backend == "vector":
-            return self._store.bits(physical)
-        return self._physical_bits(physical)
+        """Logical column value, sliced to the logical width."""
+        with self._table_rw.read():
+            if self.backend == "vector":
+                return self._store.bits(physical)
+            parts = []
+            for shard in self._shards:
+                with shard.lock:
+                    parts.append(shard.columns[physical].logical_bits()
+                                 [: shard.n_bits])
+            return np.concatenate(parts)[: self.n_bits]
 
-    def _rewrite_reference_payload(self, physical: str,
-                                   padded: np.ndarray) -> None:
-        """In-place payload rewrite, plain-encoded (write lock held)."""
+    def _write_payload(self, physical: str, new: np.ndarray) -> None:
+        """Write a column's new logical value in place, plain-encoded
+        (table write lock held, so no query batch is mid-execution).
+
+        Stat-neutral host simulation of the TBA write whose energy the
+        accountant charges analytically."""
+        if self.backend == "vector":
+            self._store.set(physical, new)
+            with self._stats_lock:
+                self._col_flags[physical] = False
+            return
+        padded = np.zeros(self.capacity, dtype=np.uint8)
+        padded[: new.size] = new
         row_bits = self._spec.row_bits
         for shard in self._shards:
             start, stop = shard.span
@@ -907,36 +875,6 @@ class BitwiseService:
             grid[: stop - start] = padded[start:stop]
             vec.payload = pack_bits(grid, row_bits)
             vec.complemented = False
-
-    def _apply_bits(self, physical: str, new: np.ndarray):
-        """Bind a column to a new logical value, plain-encoded.
-
-        Vector backend: copy-on-write matrix rebind (snapshots keep
-        the old view) — except the shared store, which writes the
-        dirty-word diff in place under the table write lock (query
-        batches hold the read side across execution) and returns the
-        replica event for the caller to publish *after* this returns,
-        outside the write lock.  Reference backend: in-place payload
-        rewrite under the same write lock — stat-neutral (host
-        simulation of the TBA write whose energy the accountant
-        charges analytically), and atomic against in-flight query
-        batches, which hold the read side across their whole shard
-        fan-out."""
-        if self.backend == "vector":
-            if self._shared_store:
-                with self._table_rw.write():
-                    event = self._store.set(physical, new)
-            else:
-                self._store.set(physical, new)
-                event = None
-            with self._stats_lock:
-                self._col_flags[physical] = False
-            return event
-        padded = np.zeros(self.capacity, dtype=np.uint8)
-        padded[: new.size] = new
-        with self._table_rw.write():
-            self._rewrite_reference_payload(physical, padded)
-        return None
 
     def _normalize_encoding(self, physicals) -> None:
         """Force columns to the plain (non-complemented) encoding."""
@@ -955,59 +893,6 @@ class BitwiseService:
                             vec.payload = ~vec.payload
                         vec.complemented = False
 
-    def _apply_append(self, news: dict[str, np.ndarray]
-                      ) -> list[tuple[str, tuple | None]]:
-        """Write appended values and re-encode every column plain.
-
-        Returns the shared-store replica events (empty otherwise)."""
-        events: list[tuple[str, tuple | None]] = []
-        if self.backend == "vector":
-            for physical, new in news.items():
-                event = self._apply_bits(physical, new)
-                if event is not None:
-                    events.append((physical, event))
-        else:
-            # One atomic critical section for the whole append.
-            with self._table_rw.write():
-                for physical, new in news.items():
-                    padded = np.zeros(self.capacity, dtype=np.uint8)
-                    padded[: new.size] = new
-                    self._rewrite_reference_payload(physical, padded)
-        others = [physical for physical in self._columns
-                  if physical not in news]
-        self._normalize_encoding(others)
-        return events
-
-    def _publish_event(self, event: tuple | None, *,
-                       tenant: str | None = None,
-                       physical: str | None = None) -> None:
-        """Forward a shared-store mutation event to the replicas.
-
-        Must be called with the table write lock *released*: a full
-        replica queue blocks the publisher until the applier drains,
-        and the applier takes the table read lock for structural
-        catch-up copies.  ``set`` events also advance the mutating
-        tenant's generation fence (read-your-writes)."""
-        if event is None or not self._shared_store:
-            return
-        if self._replica_set is not None:
-            if event[0] == "set" and physical is not None:
-                self._fences.setdefault(tenant, {})[physical] = event[2]
-            elif event[0] == "drop":
-                # A recreated physical restarts its generation at 1;
-                # a stale fence would refuse every replica for that
-                # tenant forever (and the dict would grow unboundedly).
-                for fence in self._fences.values():
-                    fence.pop(event[1], None)
-            self._replica_set.publish(event)
-        elif event[0] == "drop":
-            self._forget_segment(event[3])
-
-    def _forget_segment(self, segment_name: str) -> None:
-        pool = self._worker_pool
-        if pool is not None:
-            pool.forget(segment_name)
-
     def _get_worker_pool(self) -> WorkerPool:
         pool = self._worker_pool
         if pool is None:
@@ -1023,7 +908,7 @@ class BitwiseService:
         """Scatter to shard workers only when configured and worth it:
         matrix bytes × plan steps must clear ``_parallel_min_work`` —
         below that, pipe round-trips cost more than they save."""
-        if self.workers <= 1 or not self._shared_store:
+        if self.workers <= 1:
             return False
         shape = self._store.shape
         if shape[0] < 2:
@@ -1184,10 +1069,10 @@ class BitwiseService:
                 tenants=None) -> list[QueryResult]:
         """Execute a batch of queries.
 
-        The vector backend runs each distinct uncached plan as one
-        sequence of whole-matrix numpy kernels (all shards at once,
-        sub-expressions shared across the batch within each tenant);
-        the reference backend fans every (query, shard) pair onto a
+        The vector backend runs each distinct uncached plan once over
+        the whole table (in-process numpy kernels or scattered to shard
+        workers, sub-expressions shared across the batch within each
+        tenant); the reference backend fans every (query, shard) pair onto a
         thread pool behind per-shard locks.  Results are attributed
         per query (energy, cycles, native primitives) and cached by
         canonical key (tenant-scoped) on both paths.
@@ -1235,8 +1120,8 @@ class BitwiseService:
                 "positions": []})
             item["positions"].append(position)
 
-        # The snapshot keeps a result computed before a concurrent
-        # column mutation out of the (already invalidated) cache:
+        # The snapshot keeps a result that raced a column mutation
+        # out of the (already invalidated) cache:
         # epoch catches table-wide appends, per-column generations
         # catch drops/updates of exactly the columns this plan read.
         with self._cache_lock:
@@ -1245,7 +1130,7 @@ class BitwiseService:
                 for item in pending.values()
                 for physical in item["colmap"].values()})
         if self.backend == "vector":
-            outputs = self._run_batch_vector(pending)
+            outputs = self._run_batch(pending)
         else:
             outputs = self._run_batch_reference(pending)
 
@@ -1254,11 +1139,7 @@ class BitwiseService:
             positions = item["positions"]
             plan = item["plan"]
             text = plans[positions[0]][0]
-            payload, count, delta, elapsed = outputs[ckey][:4]
-            # Bounded-stale replica reads append cacheable=False: the
-            # cache snapshot carries primary generations, so caching
-            # them would make the staleness permanent.
-            cacheable = len(outputs[ckey]) < 5 or outputs[ckey][4]
+            payload, count, delta, elapsed = outputs[ckey]
             result = QueryResult(
                 query=text, key=plan.key, count=count, payload=payload,
                 cache_hit=False,
@@ -1270,7 +1151,7 @@ class BitwiseService:
                 shards=self.n_shards,
                 detail=delta.summary(),
             )
-            if use_cache and cacheable:
+            if use_cache:
                 self._cache_put(ckey, result, snapshot, item["tenant"],
                                 tuple(item["colmap"].values()))
             results[positions[0]] = result
@@ -1409,64 +1290,14 @@ class BitwiseService:
                             colmap: dict[str, str]):
         """Columnar program execution + closed-form attribution."""
         outputs = counts = None
-        if self.functional and self._shared_store:
-            # Programs always run on the primary; the read lock is the
-            # snapshot (the shared store mutates in place).
+        if self.functional:
             with self._table_rw.read():
-                matrices_map = self._store._matrices
-                missing = [physical for physical in colmap.values()
-                           if physical not in matrices_map]
-                if missing:
-                    raise QueryError(f"unbound column(s): {missing}")
-                program = cprog.vector_program(fused=self.fuse)
-                if self._use_process_pool(program):
-                    plan_key, spec = cprog.vector_payload(
-                        fused=self.fuse)
-                    colspec = {
-                        logical: self._store.segment_name(physical)
-                        for logical, physical in colmap.items()}
-                    gens = {physical:
-                            self._store.generations.get(physical, 0)
-                            for physical in colmap.values()}
-                    out_keys = list(program.out_regs)
-                    scattered = self._get_worker_pool().execute(
-                        plan_key, spec, colspec,
-                        self._store.mask_segment, out_keys,
-                        gens=gens, take_matrix=self._matrix_pool.take)
-                    outputs = {name: PackedBits(self._store,
-                                                scattered[name][1])
-                               for name in out_keys}
-                    counts = {name: int(scattered[name][0].sum())
-                              for name in out_keys}
-                else:
-                    columns = {logical: matrices_map[physical]
-                               for logical, physical in colmap.items()}
-                    matrices = program.run_outputs(
-                        columns, shape=self._store.shape,
-                        pool=self._matrix_pool)
-                    outputs = {name: PackedBits(self._store, matrix)
-                               for name, matrix in matrices.items()}
-                    counts = {
-                        name: int(self._store.popcounts(matrix).sum())
-                        for name, matrix in matrices.items()}
-        elif self.functional:
-            snapshot = self._store.snapshot()
-            missing = [physical for physical in colmap.values()
-                       if physical not in snapshot]
-            if missing:
-                raise QueryError(f"unbound column(s): {missing}")
-            columns = {logical: snapshot[physical]
-                       for logical, physical in colmap.items()}
-            program = cprog.vector_program(fused=self.fuse)
-            matrices = program.run_outputs(
-                columns, shape=self._store.shape,
-                pool=self._matrix_pool)
+                ran = self._run_vector(cprog, colmap)
             # Output matrices stay owned by the result (deferred
             # readout) — they must NOT go back to the pool.
             outputs = {name: PackedBits(self._store, matrix)
-                       for name, matrix in matrices.items()}
-            counts = {name: int(self._store.popcounts(matrix).sum())
-                      for name, matrix in matrices.items()}
+                       for name, (_, matrix) in ran.items()}
+            counts = {name: count for name, (count, _) in ran.items()}
         per_stmt = self._charge_program(cprog, colmap)
         return outputs, counts, per_stmt
 
@@ -1569,155 +1400,80 @@ class BitwiseService:
     # ------------------------------------------------------------------
     # vector backend
     # ------------------------------------------------------------------
-    def _run_batch_vector(self, pending: dict[str, dict],
-                          ) -> dict[str, tuple]:
-        """Columnar execution: O(plan-steps) kernels per distinct query.
+    def _run_batch(self, pending: dict[str, dict]) -> dict[str, tuple]:
+        """Columnar execution: every distinct plan runs once.
 
-        Every distinct plan runs once over the full column matrices;
-        the per-batch ``node_cache`` shares identical sub-expressions
-        across the batch's queries (attributed costs still model each
-        plan standalone, matching the reference replay exactly).
-        Node caches are scoped per tenant — the same structural
-        sub-expression names different data in different namespaces.
+        The whole batch holds the table read lock, so in-place writes
+        wait until it is done and every plan sees one table version.
+        That also keeps the per-batch ``node_cache`` sound: it shares
+        identical sub-expressions across the batch's queries (attributed
+        costs still model each plan standalone, matching the reference
+        replay exactly).  Node caches are scoped per tenant — the same
+        structural sub-expression names different data in different
+        namespaces.
         """
-        if self._shared_store:
-            return self._run_batch_shared(pending)
-        snapshot = self._store.snapshot() if self._store is not None \
-            else {}
+        if not pending:  # all cache hits: nothing to read
+            return {}
         node_caches: dict[str | None, dict[str, np.ndarray]] = {}
         outputs: dict[str, tuple] = {}
-        for ckey, item in pending.items():
-            plan = item["plan"]
-            colmap = item["colmap"]
-            start = time.perf_counter()
-            payload = count = None
-            if self.functional:
-                missing = [physical for physical in colmap.values()
-                           if physical not in snapshot]
-                if missing:
-                    raise QueryError(f"unbound column(s): {missing}")
-                columns = {logical: snapshot[physical]
-                           for logical, physical in colmap.items()}
-                program = plan.vector_program(fused=self.fuse)
-                matrix = program.run(
-                    columns, shape=self._store.shape,
-                    pool=self._matrix_pool,
-                    node_cache=node_caches.setdefault(
-                        item["tenant"], {}))
-                count = int(self._store.popcounts(matrix).sum())
-                # The matrix stays owned by the result; .bits unpacks
-                # on first access (counting clients never pay it).
-                payload = PackedBits(self._store, matrix)
-            delta = self._charge_vector(plan, colmap)
-            outputs[ckey] = (payload, count, delta,
-                             time.perf_counter() - start)
-        return outputs
-
-    # -- shared-memory store: scatter/gather + replica routing ---------
-    def _primary_view(self) -> tuple:
-        store = self._store
-        mask = None if store._full else store._mask
-        return (store._matrices, store.segment_name,
-                store.mask_segment, mask, store.generations)
-
-    def _replica_view(self, replica) -> tuple:
-        mask = None if self._store._full else replica.mask_matrix
-        return (replica.matrices,
-                lambda physical: replica.segments[physical].name,
-                replica.mask_segment(), mask, replica.applied_gen)
-
-    def _masked_count(self, matrix: np.ndarray,
-                      mask: np.ndarray | None) -> int:
-        if mask is not None:
-            matrix = np.bitwise_and(matrix, mask)
-        return int(popcount_words(matrix).sum(dtype=np.int64))
-
-    def _run_batch_shared(self, pending: dict[str, dict],
-                          ) -> dict[str, tuple]:
-        """Shared-store batch: route each item to a caught-up replica
-        when possible, execute the rest on the primary under the table
-        read lock (the shared store mutates in place, so the lock *is*
-        the snapshot)."""
-        outputs: dict[str, tuple] = {}
-        primary: dict[str, dict] = {}
-        routed: list[tuple[str, dict, object, bool]] = []
-        if self._replica_set is not None:
-            struct = self._store.struct_generation
-            mask_gen = self._store.mask_generation
+        with self._table_rw.read():
             for ckey, item in pending.items():
-                physicals = list(item["colmap"].values())
-                fences = self._fences.get(item["tenant"])
-                replica = self._replica_set.pick(
-                    physicals, fences, struct, mask_gen)
-                if replica is None:
-                    primary[ckey] = item
-                    continue
-                # Only a result computed from fully-caught-up columns
-                # may enter the result cache: the cache snapshot is
-                # stamped with *primary* generations, so caching a
-                # bounded-stale replica read would freeze staleness in.
-                fresh = all(
-                    replica.applied_gen.get(p, 0) >=
-                    self._store.generations.get(p, 0)
-                    for p in physicals)
-                routed.append((ckey, item, replica, fresh))
-        else:
-            primary = dict(pending)
-        if primary:
-            with self._table_rw.read():
-                view = self._primary_view()
-                node_caches: dict = {}
-                for ckey, item in primary.items():
-                    outputs[ckey] = self._exec_shared_item(
-                        item, view, node_caches)
-        for ckey, item, replica, fresh in routed:
-            with replica.rw.read():
-                result = self._exec_shared_item(
-                    item, self._replica_view(replica), {})
-            outputs[ckey] = result[:4] + (fresh,)
-            with self._stats_lock:
-                self.replica_reads += 1
+                plan = item["plan"]
+                start = time.perf_counter()
+                payload = count = None
+                if self.functional:
+                    (count, matrix), = self._run_vector(
+                        plan, item["colmap"],
+                        node_caches.setdefault(item["tenant"], {}),
+                    ).values()
+                    # The matrix stays owned by the result; .bits
+                    # unpacks on first access (counting clients never
+                    # pay it).
+                    payload = PackedBits(self._store, matrix)
+                delta = self._charge_vector(plan, item["colmap"])
+                outputs[ckey] = (payload, count, delta,
+                                 time.perf_counter() - start)
         return outputs
 
-    def _exec_shared_item(self, item: dict, view: tuple,
-                          node_caches: dict) -> tuple:
-        """One pending batch entry against a primary/replica view.
+    def _run_vector(self, plan, colmap: dict[str, str],
+                    node_cache: dict | None = None) -> dict:
+        """Run a plan's bytecode over the store (table read lock held).
 
-        Scatters to the worker pool when the work clears the floor
-        (workers return per-shard popcounts; the result matrix is
-        copied out of the shared output segment), otherwise runs the
-        bytecode in-process."""
-        matrices, segname, mask_seg, mask, gens = view
-        plan = item["plan"]
-        colmap = item["colmap"]
-        start = time.perf_counter()
-        missing = [physical for physical in colmap.values()
-                   if physical not in matrices]
-        if missing:
-            raise QueryError(f"unbound column(s): {missing}")
+        Returns ``{output: (count, matrix)}`` — the key is ``None`` for
+        a single-output query plan, the output name for a program.
+        Scatters to the shard workers when the work clears the floor
+        (workers return per-shard popcounts; the result is copied out
+        of the shared output segments), otherwise runs in-process.
+        Columns are bound before the plan lowers, so a column dropped
+        meanwhile still reads its old pages.
+        """
+        store = self._store
+        columns = {logical: store.matrix(physical)
+                   for logical, physical in colmap.items()}
         program = plan.vector_program(fused=self.fuse)
         if self._use_process_pool(program):
             plan_key, spec = vector_payload(plan, fused=self.fuse)
-            colspec = {logical: segname(physical)
-                       for logical, physical in colmap.items()}
-            job_gens = {physical: gens.get(physical, 0)
-                        for physical in colmap.values()}
-            result = self._get_worker_pool().execute(
-                plan_key, spec, colspec, mask_seg, [None],
-                gens=job_gens, take_matrix=self._matrix_pool.take)
-            shard_counts, matrix = result[None]
-            count = int(shard_counts.sum())
+            out_keys = [None] if program.out_regs is None \
+                else list(program.out_regs)
+            scattered = self._get_worker_pool().execute(
+                plan_key, spec,
+                {logical: store.segment_name(physical)
+                 for logical, physical in colmap.items()},
+                store.mask_segment, out_keys,
+                gens={physical: store.generations[physical]
+                      for physical in colmap.values()},
+                take_matrix=self._matrix_pool.take)
+            return {key: (int(counts.sum()), matrix)
+                    for key, (counts, matrix) in scattered.items()}
+        if program.out_regs is None:
+            matrices = {None: program.run(
+                columns, shape=store.shape, pool=self._matrix_pool,
+                node_cache=node_cache)}
         else:
-            columns = {logical: matrices[physical]
-                       for logical, physical in colmap.items()}
-            matrix = program.run(
-                columns, shape=self._store.shape,
-                pool=self._matrix_pool,
-                node_cache=node_caches.setdefault(item["tenant"], {}))
-            count = self._masked_count(matrix, mask)
-        payload = PackedBits(self._store, matrix)
-        delta = self._charge_vector(plan, colmap)
-        return (payload, count, delta, time.perf_counter() - start)
+            matrices = program.run_outputs(
+                columns, shape=store.shape, pool=self._matrix_pool)
+        return {key: (int(store.popcounts(matrix).sum()), matrix)
+                for key, matrix in matrices.items()}
 
     def _charge_vector(self, plan: CompiledQuery,
                        colmap: dict[str, str]) -> Stats:
@@ -2083,16 +1839,13 @@ class BitwiseService:
             "executor": {
                 "fuse": self.fuse,
                 "workers": self.workers,
-                "mode": "process" if self._shared_store
-                and self.workers > 1 else "serial",
+                "mode": "process" if self.workers > 1
+                and self._store is not None else "serial",
                 "parallel_min_work": self._parallel_min_work,
                 "matrix_pool": self._matrix_pool.stats()
                 if self.backend == "vector" else None,
                 "worker_pool": self._worker_pool.stats()
                 if self._worker_pool is not None else None,
-                "replica_reads": self.replica_reads,
-                "replicas": self._replica_set.stats()
-                if self._replica_set is not None else None,
             },
             "durability": self._durability.stats()
             if self._durability is not None else None,
@@ -2105,14 +1858,10 @@ class BitwiseService:
                 self._durability.close()
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
-            # Order matters: the replica applier reads the primary
-            # store, workers map its segments — stop both before
-            # unlinking the shared segments.
-            if self._replica_set is not None:
-                self._replica_set.close()
+            # Workers map the store's segments: stop them first.
             if self._worker_pool is not None:
                 self._worker_pool.close()
-            if self._shared_store:
+            if self._store is not None:
                 self._store.close()
 
     def _ensure_open(self) -> None:

@@ -1,49 +1,33 @@
 """Multi-process shard workers over a shared-memory column store.
 
-Three cooperating pieces turn the single-process vector backend into a
-scatter/gather coordinator with true multi-core execution:
+With ``workers > 1`` the service's :class:`~repro.service.columnstore.
+ColumnStore` allocates every packed ``(n_shards, words)`` uint64 matrix
+in a named shared-memory segment, so scattering a query ships **no
+column data** — only segment names.  :class:`WorkerPool` is the
+scatter/gather coordinator over pinned worker processes (spawn
+context; the coordinator has threads, fork is unsafe).  Each worker
+owns a fixed contiguous block of matrix rows (= shards).  A job ships
+only ``(plan id, bytecode spec on first sight, column segment names,
+row span, output segment names)``; the worker executes the fused
+:class:`~repro.arch.expr.VectorProgram` locally over its row block,
+writes result words into shared output segments, and returns only
+per-shard popcounts over the pipe.  Plan compilation, caches, Stats
+accounting, durability and tenancy never leave the coordinator.
 
-* :class:`SharedColumnStore` — a :class:`~repro.service.columnstore.
-  ColumnStore` whose packed ``(n_shards, words)`` uint64 matrices live
-  in ``multiprocessing.shared_memory`` segments.  Worker processes map
-  the same physical pages, so scattering a query ships **no column
-  data** — only segment names.  Mutations write the dirty-word diff in
-  place (no copy-on-write rebind) and bump a per-column generation;
-  structural changes (add/drop/resize) bump a structure generation.
-  Each mutator returns a compact *event* describing exactly what
-  changed, which the service forwards to read replicas.
-
-* :class:`WorkerPool` — a pool of pinned worker processes (spawn
-  context; the coordinator has threads, fork is unsafe).  Each worker
-  owns a fixed contiguous block of matrix rows (= shards).  A job ships
-  only ``(plan id, bytecode spec on first sight, column segment names,
-  row span, output segment names)``; the worker executes the fused
-  :class:`~repro.arch.expr.VectorProgram` locally over its row block,
-  writes result words into shared output segments, and returns only
-  per-shard popcounts over the pipe.  Plan compilation, caches, Stats
-  accounting, durability and tenancy never leave the coordinator.
-  A worker that dies mid-batch (crash, ``kill -9``) or hangs past the
-  timeout is respawned and its job replayed — shared column segments
-  are never written by workers, so replay is bit-exact.
-
-* :class:`ReplicaStore` / :class:`ReplicaSet` — N read replicas, each
-  a full shared-memory copy of the store kept current by a single
-  applier thread draining the mutation-event stream from a bounded
-  queue (the bound is the staleness limit: a mutator blocks rather
-  than let replicas fall further behind).  Reads route to a replica
-  only when its structure/mask generations match the primary and every
-  referenced column satisfies the caller's generation fence — the
-  mutating tenant's fence is its last-write generation, giving
-  read-your-writes; other tenants read with bounded staleness.
+Workers never write column segments, and the service runs every
+scatter under its table read lock while ``set`` writes dirty words in
+place under the write side — so a worker that dies mid-batch (crash,
+``kill -9``) or hangs past the timeout is respawned and its job
+replayed bit-exactly.
 
 Shared-memory lifecycle: the coordinator exclusively creates and
-unlinks segments.  Workers only ever attach (never unlink, never
-unregister — the resource tracker is shared with the coordinator), so
-a dying worker can never take pages the coordinator still serves.
-Dropped columns unlink their ``/dev/shm`` entry immediately but
-retire the mapping to a graveyard
-closed at :meth:`SharedColumnStore.close` — in-flight snapshots may
-still read the pages until then.
+unlinks segments (:class:`~repro.service.columnstore.SegmentArena`,
+which also unlinks them if the process exits without ``close()``).
+Workers only ever attach (never unlink, never unregister — the
+resource tracker is shared with the coordinator), so a dying worker
+can never take pages the coordinator still serves.  A dropped column's
+segment is unlinked at once and its name sent to :meth:`WorkerPool.
+forget`, so workers release their mapping too.
 """
 
 from __future__ import annotations
@@ -54,210 +38,16 @@ import signal
 import sys
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from multiprocessing import get_context, shared_memory
 
 import numpy as np
 
 from repro.errors import QueryError
-from repro.service.columnstore import ColumnStore, MatrixPool, \
-    popcount_words
+from repro.service.columnstore import MatrixPool, SegmentArena, \
+    close_quietly, popcount_words
 
-__all__ = ["SharedColumnStore", "WorkerPool", "ReplicaStore",
-           "ReplicaSet"]
-
-#: distinguishes this service's segments in /dev/shm (tests assert no
-#: ``repb*`` entries leak past close)
-_SEGMENT_PREFIX = "repb"
-_STORE_SEQ = itertools.count()
-
-
-def _close_quietly(shm: shared_memory.SharedMemory) -> None:
-    try:
-        shm.close()
-    except (BufferError, OSError):  # pragma: no cover - defensive
-        pass
-
-
-class _RWLock:
-    """Writer-preferring readers/writer lock (replica view guard)."""
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
-
-    @contextmanager
-    def read(self):
-        with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if not self._readers:
-                    self._cond.notify_all()
-
-    @contextmanager
-    def write(self):
-        with self._cond:
-            self._writers_waiting += 1
-            while self._writer or self._readers:
-                self._cond.wait()
-            self._writers_waiting -= 1
-            self._writer = True
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writer = False
-                self._cond.notify_all()
-
-
-# ----------------------------------------------------------------------
-# shared-memory column store
-# ----------------------------------------------------------------------
-class SharedColumnStore(ColumnStore):
-    """A :class:`ColumnStore` backed by shared-memory segments.
-
-    Semantics differ from the base class in exactly one way: ``set``
-    writes the dirty words **in place** instead of rebinding to a fresh
-    matrix, so the store is single-writer / snapshot-unsafe on its own.
-    The service compensates by holding its table readers/writer lock:
-    queries hold the read side across execution, mutators the write
-    side across the diff application — the same barrier semantics the
-    scheduler already enforces per tenant.
-
-    Mutators return replica events (see :class:`ReplicaSet`); the
-    caller must publish them **after** releasing the table write lock,
-    or a full replica queue deadlocks against the applier.
-    """
-
-    def __init__(self, n_bits: int, n_shards: int, *,
-                 capacity: int | None = None) -> None:
-        # Subclass state first: the base initializer calls resize().
-        self._segments: dict[str, shared_memory.SharedMemory] = {}
-        self._mask_shm: shared_memory.SharedMemory | None = None
-        self._mask_matrix: np.ndarray | None = None
-        #: per-column write generation (replica fencing)
-        self.generations: dict[str, int] = {}
-        #: bumped on resize (mask/width changes)
-        self.mask_generation = 0
-        #: bumped on add/drop (segment-set changes)
-        self.struct_generation = 0
-        self._retired: list[shared_memory.SharedMemory] = []
-        self._seg_seq = 0
-        self._prefix = \
-            f"{_SEGMENT_PREFIX}{os.getpid()}x{next(_STORE_SEQ)}"
-        self._closed = False
-        super().__init__(n_bits, n_shards, capacity=capacity)
-
-    # -- segment plumbing ----------------------------------------------
-    def _new_segment(self, tag: str) -> tuple[
-            shared_memory.SharedMemory, np.ndarray]:
-        name = f"{self._prefix}{tag}{self._seg_seq}"
-        self._seg_seq += 1
-        size = int(np.prod(self.shape)) * 8
-        shm = shared_memory.SharedMemory(name=name, create=True,
-                                         size=size)
-        view = np.ndarray(self.shape, dtype=np.uint64, buffer=shm.buf)
-        view.fill(0)
-        return shm, view
-
-    def segment_name(self, name: str) -> str:
-        return self._segments[name].name
-
-    @property
-    def mask_segment(self) -> str | None:
-        """Mask segment name for workers (None when fully valid)."""
-        if self._full or self._mask_shm is None:
-            return None
-        return self._mask_shm.name
-
-    # -- lifecycle ------------------------------------------------------
-    def resize(self, n_bits: int):
-        super().resize(n_bits)
-        if self._mask_shm is None:
-            self._mask_shm, self._mask_matrix = self._new_segment("m")
-        np.copyto(self._mask_matrix, self._mask)
-        self._mask = self._mask_matrix  # live shm-backed mask view
-        self.mask_generation += 1
-        return ("resize", self.mask_generation, int(n_bits))
-
-    def add(self, name: str, bits: np.ndarray):
-        if name in self._segments:
-            raise QueryError(f"column {name!r} already exists")
-        packed = self._pack(bits)
-        shm, view = self._new_segment("c")
-        np.copyto(view, packed)
-        self._segments[name] = shm
-        self._matrices[name] = view
-        self.generations[name] = 1
-        self.struct_generation += 1
-        return ("add", name, self.struct_generation)
-
-    def set(self, name: str, bits: np.ndarray):
-        """Write the dirty-word diff in place; returns the replica
-        event ``("set", name, generation, word_indices, words)``."""
-        view = self._matrices.get(name)
-        if view is None:
-            raise QueryError(f"no column {name!r}")
-        flat_old = view.reshape(-1)
-        flat_new = self._pack(bits).reshape(-1)
-        dirty = np.flatnonzero(flat_old != flat_new)
-        values = flat_new[dirty]
-        flat_old[dirty] = values
-        gen = self.generations.get(name, 0) + 1
-        self.generations[name] = gen
-        return ("set", name, gen, dirty, values)
-
-    def drop(self, name: str):
-        shm = self._segments.pop(name, None)
-        if shm is None:
-            raise QueryError(f"no column {name!r}")
-        del self._matrices[name]
-        self.generations.pop(name, None)
-        # Unlink now (the /dev/shm entry disappears) but keep the
-        # mapping alive until close(): snapshots taken before the drop
-        # may still read these pages.
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-        self._retired.append(shm)
-        self.struct_generation += 1
-        return ("drop", name, self.struct_generation, shm.name)
-
-    def close(self) -> None:
-        """Release and unlink every segment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._matrices.clear()
-        self._mask_matrix = None
-        self._mask = None
-        for shm in self._segments.values():
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-            _close_quietly(shm)
-        self._segments.clear()
-        if self._mask_shm is not None:
-            try:
-                self._mask_shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-            _close_quietly(self._mask_shm)
-            self._mask_shm = None
-        for shm in self._retired:
-            _close_quietly(shm)
-        self._retired.clear()
+__all__ = ["WorkerPool"]
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +93,7 @@ def _worker_main(conn, shape) -> None:
         if kind == "forget":
             entry = segments.pop(message[1], None)
             if entry is not None:
-                _close_quietly(entry[0])
+                close_quietly(entry[0])
             continue
         # ("exec", job) — every reply echoes the job id so the
         # coordinator can discard stale replies left in the pipe by a
@@ -362,7 +152,7 @@ def _worker_main(conn, shape) -> None:
             except (BrokenPipeError, OSError):
                 break
     for entry in segments.values():
-        _close_quietly(entry[0])
+        close_quietly(entry[0])
     try:
         conn.close()
     except OSError:  # pragma: no cover
@@ -403,10 +193,9 @@ class WorkerPool:
         self._workers: list[_WorkerState | None] = \
             [None] * self.n_workers
         self._lock = threading.Lock()
-        self._out_segments: list[shared_memory.SharedMemory] = []
-        self._out_views: list[np.ndarray] = []
-        self._prefix = \
-            f"{_SEGMENT_PREFIX}{os.getpid()}p{next(_STORE_SEQ)}"
+        #: shared output matrices, one per program output position
+        self._outs = SegmentArena(self.shape, "p")
+        self._out_views: list[tuple[str, np.ndarray]] = []
         self._started = False
         self._closed = False
         #: monotonically increasing id echoed in every worker reply;
@@ -471,16 +260,8 @@ class WorkerPool:
         self.respawns += 1
 
     def _ensure_out_segments(self, count: int) -> None:
-        while len(self._out_segments) < count:
-            index = len(self._out_segments)
-            size = int(np.prod(self.shape)) * 8
-            shm = shared_memory.SharedMemory(
-                name=f"{self._prefix}o{index}", create=True, size=size)
-            view = np.ndarray(self.shape, dtype=np.uint64,
-                              buffer=shm.buf)
-            view.fill(0)
-            self._out_segments.append(shm)
-            self._out_views.append(view)
+        while len(self._out_views) < count:
+            self._out_views.append(self._outs.alloc())
 
     # -- the scatter/gather round --------------------------------------
     def execute(self, plan_key: str, spec: tuple,
@@ -496,7 +277,7 @@ class WorkerPool:
         with self._lock:
             self._ensure_started()
             self._ensure_out_segments(len(out_keys))
-            outs = [(key, self._out_segments[i].name)
+            outs = [(key, self._out_views[i][0])
                     for i, key in enumerate(out_keys)]
             job_id = next(self._job_seq)
 
@@ -529,7 +310,7 @@ class WorkerPool:
             for position, key in enumerate(out_keys):
                 matrix = take_matrix() if take_matrix is not None \
                     else np.empty(self.shape, dtype=np.uint64)
-                np.copyto(matrix, self._out_views[position])
+                np.copyto(matrix, self._out_views[position][1])
                 results[key] = (counts[key], matrix)
             return results
 
@@ -642,289 +423,4 @@ class WorkerPool:
                 except OSError:  # pragma: no cover
                     pass
             self._out_views.clear()
-            for shm in self._out_segments:
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-                _close_quietly(shm)
-            self._out_segments.clear()
-
-
-# ----------------------------------------------------------------------
-# read replicas
-# ----------------------------------------------------------------------
-class ReplicaStore:
-    """One read replica: a full shared-memory copy of the primary.
-
-    Kept current by the :class:`ReplicaSet` applier; readers take the
-    replica read lock for the whole execution, the applier the write
-    lock per event.  ``can_serve`` is the routing predicate: structure
-    and mask generations must match the primary exactly, and every
-    referenced column must satisfy the caller's generation fence.
-    """
-
-    def __init__(self, primary: SharedColumnStore, index: int, *,
-                 read_lock) -> None:
-        self._primary = primary
-        self._read_lock = read_lock
-        self._prefix = f"{primary._prefix}r{index}"
-        self._seq = 0
-        self.index = index
-        self.segments: dict[str, shared_memory.SharedMemory] = {}
-        self.matrices: dict[str, np.ndarray] = {}
-        self._mask_shm: shared_memory.SharedMemory | None = None
-        self.mask_matrix: np.ndarray | None = None
-        self.applied_gen: dict[str, int] = {}
-        self.applied_struct = 0
-        self.applied_mask_gen = 0
-        self.n_bits = primary.n_bits
-        self.rw = _RWLock()
-        self.reads = 0
-        self._closed = False
-        self._sync_full()
-
-    # -- segment plumbing ----------------------------------------------
-    def _new_segment(self) -> tuple[
-            shared_memory.SharedMemory, np.ndarray]:
-        name = f"{self._prefix}c{self._seq}"
-        self._seq += 1
-        shape = self._primary.shape
-        size = int(np.prod(shape)) * 8
-        shm = shared_memory.SharedMemory(name=name, create=True,
-                                         size=size)
-        view = np.ndarray(shape, dtype=np.uint64, buffer=shm.buf)
-        return shm, view
-
-    def _copy_mask(self) -> None:
-        if self.mask_matrix is None:
-            shape = self._primary.shape
-            size = int(np.prod(shape)) * 8
-            self._mask_shm = shared_memory.SharedMemory(
-                name=f"{self._prefix}m", create=True, size=size)
-            self.mask_matrix = np.ndarray(
-                shape, dtype=np.uint64, buffer=self._mask_shm.buf)
-        np.copyto(self.mask_matrix, self._primary._mask)
-
-    def _sync_full(self) -> None:
-        """Initial catch-up: copy the whole primary under its read
-        lock, recording the generations the copy reflects."""
-        with self.rw.write(), self._read_lock():
-            for name in list(self._primary._matrices):
-                self._copy_column(name)
-            self._copy_mask()
-            self.applied_struct = self._primary.struct_generation
-            self.applied_mask_gen = self._primary.mask_generation
-            self.n_bits = self._primary.n_bits
-
-    def _copy_column(self, name: str) -> None:
-        src = self._primary._matrices.get(name)
-        if src is None:
-            return
-        shm, view = self._new_segment()
-        np.copyto(view, src)
-        self.segments[name] = shm
-        self.matrices[name] = view
-        self.applied_gen[name] = self._primary.generations.get(name, 0)
-
-    # -- event application ---------------------------------------------
-    def apply(self, event: tuple) -> str | None:
-        """Apply one mutation event.  Returns the name of the replica
-        segment a ``drop`` unlinked (the :class:`ReplicaSet` forwards
-        it to the worker pool's ``forget``, or workers that attached
-        the segment during replica-routed scatter would hold the
-        unlinked pages until respawn), else ``None``."""
-        kind = event[0]
-        with self.rw.write():
-            if kind == "set":
-                _, name, gen, dirty, values = event
-                # A copy made at a later generation already reflects
-                # this diff; re-applying would regress the words.
-                if name not in self.matrices or \
-                        gen <= self.applied_gen.get(name, 0):
-                    return None
-                self.matrices[name].reshape(-1)[dirty] = values
-                self.applied_gen[name] = gen
-            elif kind == "add":
-                _, name, struct = event
-                if struct <= self.applied_struct:
-                    return None
-                with self._read_lock():
-                    self._copy_column(name)
-                self.applied_struct = struct
-            elif kind == "drop":
-                _, name, struct = event[:3]
-                if struct <= self.applied_struct:
-                    return None
-                self.matrices.pop(name, None)
-                self.applied_gen.pop(name, None)
-                shm = self.segments.pop(name, None)
-                self.applied_struct = struct
-                if shm is not None:
-                    dropped = shm.name
-                    try:
-                        shm.unlink()
-                    except FileNotFoundError:  # pragma: no cover
-                        pass
-                    _close_quietly(shm)
-                    return dropped
-            elif kind == "resize":
-                _, mask_gen, n_bits = event
-                if mask_gen <= self.applied_mask_gen:
-                    return None
-                with self._read_lock():
-                    self._copy_mask()
-                    self.n_bits = int(n_bits)
-                self.applied_mask_gen = mask_gen
-        return None
-
-    # -- routing --------------------------------------------------------
-    def can_serve(self, physicals, fences: dict | None,
-                  struct: int, mask_gen: int) -> bool:
-        if self._closed:
-            return False
-        if self.applied_struct != struct or \
-                self.applied_mask_gen != mask_gen:
-            return False
-        for name in physicals:
-            if name not in self.matrices:
-                return False
-            if fences and \
-                    self.applied_gen.get(name, 0) < fences.get(name, 0):
-                return False
-        return True
-
-    def mask_segment(self) -> str | None:
-        if self._primary._full or self._mask_shm is None:
-            return None
-        return self._mask_shm.name
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        with self.rw.write():
-            self.matrices.clear()
-            self.mask_matrix = None
-            for shm in self.segments.values():
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-                _close_quietly(shm)
-            self.segments.clear()
-            if self._mask_shm is not None:
-                try:
-                    self._mask_shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-                _close_quietly(self._mask_shm)
-                self._mask_shm = None
-
-
-class ReplicaSet:
-    """N read replicas fed by one applier thread over a bounded queue.
-
-    The queue bound **is** the staleness contract: a mutator publishing
-    past ``max_lag`` undrained events blocks until the applier catches
-    up, so a replica can never lag the primary by more than ``max_lag``
-    mutations.  Events must be published *outside* the table write
-    lock — the applier takes the table read lock for structural
-    catch-up copies, so publishing under the write lock with a full
-    queue would deadlock.
-    """
-
-    def __init__(self, primary: SharedColumnStore, n: int, *,
-                 read_lock, max_lag: int = 256,
-                 forget=None) -> None:
-        self.max_lag = int(max_lag)
-        self._forget = forget
-        self.replicas = [
-            ReplicaStore(primary, index, read_lock=read_lock)
-            for index in range(max(1, int(n)))]
-        self._queue: deque = deque()
-        self._cv = threading.Condition()
-        self._busy = False
-        self._stop = False
-        self._rr = 0
-        self.published = 0
-        self.applied = 0
-        self._thread = threading.Thread(
-            target=self._run, name="repro-replica-applier", daemon=True)
-        self._thread.start()
-
-    # -- producer side --------------------------------------------------
-    def publish(self, event: tuple) -> None:
-        with self._cv:
-            while len(self._queue) >= self.max_lag and not self._stop:
-                self._cv.wait(0.05)
-            if self._stop:
-                return
-            self._queue.append(event)
-            self.published += 1
-            self._cv.notify_all()
-
-    # -- applier --------------------------------------------------------
-    def _run(self) -> None:
-        while True:
-            with self._cv:
-                while not self._queue and not self._stop:
-                    self._cv.wait()
-                if not self._queue:
-                    return
-                event = self._queue.popleft()
-                self._busy = True
-                self._cv.notify_all()
-            try:
-                for replica in self.replicas:
-                    dropped = replica.apply(event)
-                    if dropped is not None and \
-                            self._forget is not None:
-                        self._forget(dropped)
-                if event[0] == "drop" and self._forget is not None:
-                    self._forget(event[3])
-            finally:
-                with self._cv:
-                    self._busy = False
-                    self.applied += 1
-                    self._cv.notify_all()
-
-    def wait_caught_up(self, timeout_s: float = 5.0) -> bool:
-        """Block until every published event has applied (tests)."""
-        deadline = time.monotonic() + timeout_s
-        with self._cv:
-            while self._queue or self._busy:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cv.wait(remaining)
-        return True
-
-    # -- routing --------------------------------------------------------
-    def pick(self, physicals, fences: dict | None, struct: int,
-             mask_gen: int) -> ReplicaStore | None:
-        """Round-robin over replicas currently able to serve."""
-        n = len(self.replicas)
-        for offset in range(n):
-            replica = self.replicas[(self._rr + offset) % n]
-            if replica.can_serve(physicals, fences, struct, mask_gen):
-                self._rr = (self._rr + offset + 1) % n
-                replica.reads += 1
-                return replica
-        return None
-
-    def stats(self) -> dict:
-        with self._cv:
-            lag = len(self._queue) + (1 if self._busy else 0)
-        return {"replicas": len(self.replicas),
-                "published": self.published, "applied": self.applied,
-                "lag": lag, "max_lag": self.max_lag,
-                "reads": [r.reads for r in self.replicas]}
-
-    def close(self) -> None:
-        with self._cv:
-            self._stop = True
-            self._cv.notify_all()
-        self._thread.join(timeout=10.0)
-        for replica in self.replicas:
-            replica.close()
+            self._outs.close()

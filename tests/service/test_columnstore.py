@@ -48,19 +48,23 @@ class TestPacking:
         total = int(popcount_words(matrix).sum())
         assert total == 10_000
 
-    def test_popcounts_masked(self, rng):
-        store = ColumnStore(10_000, 3)
-        bits = rng.integers(0, 2, 10_000, dtype=np.uint8)
-        store.add("x", bits)
-        # All-ones matrix: the mask must exclude padding positions.
-        ones = np.full(store.shape, np.uint64(0xFFFFFFFFFFFFFFFF))
-        assert int(store.popcounts(ones).sum()) == 10_000
-        counts = store.popcounts(store.matrix("x"))
-        assert counts.shape == (store.n_shards,)
-        assert int(counts.sum()) == int(bits.sum())
-        # Per-shard counts match per-span slices.
-        for index, (start, stop) in enumerate(store.spans):
-            assert counts[index] == int(bits[start:stop].sum())
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_popcounts_masked(self, rng, shared):
+        store = ColumnStore(10_000, 3, shared=shared)
+        try:
+            bits = rng.integers(0, 2, 10_000, dtype=np.uint8)
+            store.add("x", bits)
+            # All-ones matrix: the mask must exclude padding positions.
+            ones = np.full(store.shape, np.uint64(0xFFFFFFFFFFFFFFFF))
+            assert int(store.popcounts(ones).sum()) == 10_000
+            counts = store.popcounts(store.matrix("x"))
+            assert counts.shape == (store.n_shards,)
+            assert int(counts.sum()) == int(bits.sum())
+            # Per-shard counts match per-span slices.
+            for index, (start, stop) in enumerate(store.spans):
+                assert counts[index] == int(bits[start:stop].sum())
+        finally:
+            store.close()
 
     def test_unpack_all_ones_matrix(self):
         """Garbage beyond n_bits never leaks into readouts."""
@@ -84,15 +88,20 @@ class TestPacking:
         with pytest.raises(QueryError, match="bits"):
             store.add("x", np.zeros(12, dtype=np.uint8))
 
-    def test_snapshot_is_stable_across_drop(self, rng):
-        store = ColumnStore(256, 2)
-        bits = rng.integers(0, 2, 256, dtype=np.uint8)
-        store.add("x", bits)
-        snapshot = store.snapshot()
-        store.drop("x")
-        store.add("x", 1 - bits)
-        # The snapshot still binds the original matrix.
-        assert np.array_equal(store.unpack(snapshot["x"]), bits)
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_snapshot_is_stable_across_drop(self, rng, shared):
+        store = ColumnStore(256, 2, shared=shared)
+        try:
+            bits = rng.integers(0, 2, 256, dtype=np.uint8)
+            store.add("x", bits)
+            snapshot = store.snapshot()
+            store.drop("x")
+            store.add("x", 1 - bits)
+            # The snapshot still binds the original matrix (a shared
+            # store keeps the dropped segment mapped until close).
+            assert np.array_equal(store.unpack(snapshot["x"]), bits)
+        finally:
+            store.close()
 
 
 class TestMatrixPool:

@@ -1,10 +1,13 @@
 """Concurrent mutation/query interleavings.
 
-Three layers:
+Four layers:
 
 * deterministic serialized schedules through the differential
   op-script harness (vector vs reference vs numpy shadow, full Stats);
 * a hypothesis property over random op scripts (same harness);
+* in-place writes racing live query batches, in-process and on shard
+  workers: a batch sees one table version, and deferred readouts keep
+  the value they were computed from;
 * an async soak: multiple tenant clients hammer one shared async
   server concurrently with mixed query/mutation traffic; each
   tenant's result stream must be bit-exact against a serial
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 
 import numpy as np
@@ -27,13 +31,17 @@ from repro.service import BitwiseService, serve_tcp
 from tests.support.differential import assert_ops_equivalent
 
 N_BITS = 3 * 64 * 2  # 2 words per shard on 3 shards
+#: wide enough that numpy releases the GIL inside each kernel, so a
+#: writer thread really runs while a batch executes
+RACE_BITS = 1 << 16
 
 pytestmark = pytest.mark.timeout(120)
 
 
-def table_for(seed: int, names=("a", "b", "c")) -> dict:
+def table_for(seed: int, names=("a", "b", "c"),
+              n_bits: int = N_BITS) -> dict:
     rng = np.random.default_rng(seed)
-    return {name: (rng.random(N_BITS) < 0.5).astype(np.uint8)
+    return {name: (rng.random(n_bits) < 0.5).astype(np.uint8)
             for name in names}
 
 
@@ -114,6 +122,82 @@ class TestPropertyInterleavings:
     @given(seed=st.integers(0, 2 ** 16), ops=op_scripts())
     def test_random_scripts_differentially_exact(self, seed, ops):
         assert_ops_equivalent(table_for(seed), ops)
+
+
+@pytest.fixture(params=[1, 2], ids=["workers1", "workers2"])
+def inplace_service(request):
+    """A vector service whose plans run in-process (1 worker) or are
+    scattered to shard workers (2)."""
+    svc = BitwiseService(n_bits=RACE_BITS, n_shards=4,
+                         workers=request.param)
+    svc._parallel_min_work = 0  # scatter even this small table
+    yield svc
+    svc.close()
+
+
+class TestInPlaceWrites:
+    def test_batch_racing_write_slice_is_never_torn(self,
+                                                    inplace_service):
+        """A writer flips column ``a`` between two values with
+        full-width ``write_slice``s while a reader runs ``[a, ..., ~a]``
+        batches: every batch must see exactly one version, across all
+        shards and all its queries."""
+        svc = inplace_service
+        table = table_for(7, n_bits=RACE_BITS)
+        for name, bits in table.items():
+            svc.create_column(name, bits)
+        versions = [table["a"], 1 - table["a"]]
+        # filler plans widen the window between reading a and ~a
+        batch = ["a", "maj(a, b, c)", "b ^ c", "(a | b) & ~c", "~a"]
+        stop = threading.Event()
+        flips: list[int] = []
+        errors: list[BaseException] = []
+
+        def writer():
+            try:
+                while not stop.is_set():
+                    flips.append(len(flips))
+                    svc.write_slice("a", 0, versions[len(flips) % 2])
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-batch
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            for _ in range(30):
+                results = svc.execute(batch, use_cache=False)
+                plain, inverted = results[0], results[-1]
+                assert plain.count + inverted.count == RACE_BITS
+                assert any(np.array_equal(plain.bits, version)
+                           for version in versions)
+                assert np.array_equal(inverted.bits, 1 - plain.bits)
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert not errors, errors
+        assert len(flips) > 1  # the writer really ran alongside
+
+    def test_deferred_bits_keep_pre_write_value(self, inplace_service):
+        """Results read through deferred ``.bits`` after a later
+        in-place ``write_slice`` to their column still return the
+        value they were computed from — including a bare column."""
+        svc = inplace_service
+        table = table_for(8, n_bits=RACE_BITS)
+        for name, bits in table.items():
+            svc.create_column(name, bits)
+        bare, both = svc.execute(["a", "a & b"])
+        svc.write_slice("a", 64, 1 - table["a"][64:192])
+        assert np.array_equal(bare.bits, table["a"])
+        assert np.array_equal(both.bits, table["a"] & table["b"])
+        after = svc.query("a")
+        assert not after.cache_hit
+        expected = table["a"].copy()
+        expected[64:192] ^= 1
+        assert np.array_equal(after.bits, expected)
 
 
 class _TenantClient(threading.Thread):

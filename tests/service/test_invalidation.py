@@ -138,13 +138,16 @@ class TestIndexHygiene:
 
 
 class TestInFlightMutationRace:
-    def test_update_during_execute_not_cached(self, table,
-                                              monkeypatch):
-        """Deterministic interleaving: update_column lands while a
-        query is mid-execution.  The in-flight result (computed from
-        the pre-mutation snapshot) must not poison the cache."""
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_update_during_execute_not_cached(self, table, monkeypatch,
+                                              workers):
+        """Deterministic interleaving: update_column arrives while a
+        query is mid-execution.  The update writes in place, so it
+        waits on the table lock until the in-flight batch is done; the
+        query serves the pre-mutation value, and the update then evicts
+        it, so the next query sees the update."""
         svc = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=2,
-                             backend="vector")
+                             backend="vector", workers=workers)
         try:
             for name, bits in table.items():
                 svc.create_column(name, bits)
@@ -170,14 +173,19 @@ class TestInFlightMutationRace:
             monkeypatch.setattr(CompiledQuery, "vector_program",
                                 original)
             new_a = 1 - table["a"]
-            svc.update_column("a", new_a)
+            writer = threading.Thread(
+                target=lambda: svc.update_column("a", new_a))
+            writer.start()
+            writer.join(timeout=0.2)
+            assert writer.is_alive()  # blocked behind the batch
             resume.set()
             thread.join(timeout=10)
-            assert not thread.is_alive()
-            # The in-flight query served the pre-mutation snapshot...
+            writer.join(timeout=10)
+            assert not thread.is_alive() and not writer.is_alive()
+            # The in-flight query served the pre-mutation value...
             assert np.array_equal(stale_result["r"].bits,
                                   table["a"] & table["b"])
-            # ...but was not cached: the next query sees the update.
+            # ...and the update evicted it: the next query sees it.
             fresh = svc.query("a & b")
             assert not fresh.cache_hit
             assert np.array_equal(fresh.bits, new_a & table["b"])

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import QueryError
 from repro.service import BitwiseService, run_repl, serve_tcp
+from repro.service.columnstore import shard_spans
 
 N_BITS = 10_000  # deliberately not a multiple of 64 * shards
 
@@ -52,7 +53,7 @@ class TestColumns:
             service.query("c & a")
 
     def test_shard_spans_cover_table(self):
-        spans = BitwiseService._spans(N_BITS, 3)
+        spans = shard_spans(N_BITS, 3)
         assert spans[0][0] == 0 and spans[-1][1] == N_BITS
         for (_, stop), (start, _) in zip(spans, spans[1:]):
             assert stop == start

@@ -1,4 +1,4 @@
-"""Multi-process shard workers, shared-memory store, read replicas.
+"""Multi-process shard workers over the shared-memory column store.
 
 The contract under test, end to end:
 
@@ -11,10 +11,8 @@ The contract under test, end to end:
   read-only to workers, so replay is safe);
 * shared-memory hygiene: every ``/dev/shm`` segment this stack
   creates (``repb*``) is unlinked by ``close()`` — asserted by an
-  autouse fixture around *every* test in this module;
-* read replicas serve with bounded staleness, and the mutating
-  tenant's generation fence guarantees read-your-writes even while
-  the applier is artificially slowed mid-interleaving.
+  autouse fixture around *every* test in this module — and by process
+  exit when ``close()`` never runs.
 """
 
 from __future__ import annotations
@@ -22,20 +20,17 @@ from __future__ import annotations
 import glob
 import os
 import signal
-import time
-from contextlib import nullcontext
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import repro
 from repro.service import BitwiseService
 from repro.service.columnstore import ColumnStore
-from repro.service.shard_workers import (
-    ReplicaSet,
-    ReplicaStore,
-    SharedColumnStore,
-    WorkerPool,
-)
+from repro.service.shard_workers import WorkerPool
 from tests.support.differential import (
     assert_ops_equivalent,
     assert_program_equivalent,
@@ -66,73 +61,63 @@ def _table(rng, names="abc", n_bits=N_BITS):
             for name in names}
 
 
-def _service(*, workers=1, replicas=0, n_shards=4, n_bits=N_BITS,
-             **kwargs):
+def _service(*, workers=1, n_shards=4, n_bits=N_BITS, **kwargs):
     svc = BitwiseService("feram-2tnc", n_bits=n_bits,
                          n_shards=n_shards, workers=workers,
-                         replicas=replicas,
                          capacity=2 * n_bits, **kwargs)
     svc._parallel_min_work = 0  # engage the pool on tiny tables
     return svc
 
 
 # ----------------------------------------------------------------------
-# SharedColumnStore: storage semantics and replica events
+# shared-memory ColumnStore: storage semantics
 # ----------------------------------------------------------------------
 class TestSharedColumnStore:
-    def test_matches_base_store_and_emits_events(self, rng):
+    def test_matches_heap_store(self, rng):
         base = ColumnStore(N_BITS, 4)
-        shared = SharedColumnStore(N_BITS, 4)
+        shared = ColumnStore(N_BITS, 4, shared=True)
         try:
             bits = rng.integers(0, 2, N_BITS, dtype=np.uint8)
             base.add("a", bits)
-            event = shared.add("a", bits)
-            assert event == ("add", "a", shared.struct_generation)
-            assert np.array_equal(shared._matrices["a"],
-                                  base._matrices["a"])
+            shared.add("a", bits)
+            assert np.array_equal(shared.matrix("a"), base.matrix("a"))
             assert shared.generations["a"] == 1
 
             new = rng.integers(0, 2, N_BITS, dtype=np.uint8)
             base.set("a", new)
-            kind, name, gen, dirty, values = shared.set("a", new)
-            assert (kind, name, gen) == ("set", "a", 2)
-            assert np.array_equal(shared._matrices["a"],
-                                  base._matrices["a"])
-            # the diff is exactly the changed words
-            assert dirty.size <= shared._matrices["a"].size
-            assert np.array_equal(
-                shared._matrices["a"].reshape(-1)[dirty], values)
+            shared.set("a", new)
+            assert np.array_equal(shared.matrix("a"), base.matrix("a"))
+            assert shared.generations["a"] == base.generations["a"] == 2
 
             segname = shared.segment_name("a")
             assert segname.startswith("repb")
-            drop = shared.drop("a")
-            assert drop[:3] == ("drop", "a", shared.struct_generation)
-            assert drop[3] == segname
+            assert shared.drop("a") == segname
+            assert base.drop("a") is None
             # unlinked from /dev/shm immediately...
             assert segname not in _repb_segments()
         finally:
             shared.close()
 
-    def test_set_is_in_place_not_rebind(self, rng):
-        shared = SharedColumnStore(N_BITS, 4)
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_set_is_in_place_not_rebind(self, rng, shared):
+        store = ColumnStore(N_BITS, 4, shared=shared)
         try:
-            shared.add("a", rng.integers(0, 2, N_BITS, dtype=np.uint8))
-            view = shared._matrices["a"]
-            shared.set("a", rng.integers(0, 2, N_BITS, dtype=np.uint8))
-            assert shared._matrices["a"] is view
+            store.add("a", rng.integers(0, 2, N_BITS, dtype=np.uint8))
+            view = store.matrix("a")
+            store.set("a", rng.integers(0, 2, N_BITS, dtype=np.uint8))
+            assert store.matrix("a") is view
         finally:
-            shared.close()
+            store.close()
 
     def test_close_is_idempotent_and_unlinks_everything(self, rng):
-        shared = SharedColumnStore(N_BITS, 4)
+        shared = ColumnStore(N_BITS, 4, shared=True)
         shared.add("a", rng.integers(0, 2, N_BITS, dtype=np.uint8))
-        mine = {s for s in _repb_segments()
-                if s.startswith(shared._prefix)}
-        assert mine  # column + mask segments exist while open
+        prefix = shared._arena.prefix
+        mine = {s for s in _repb_segments() if s.startswith(prefix)}
+        assert len(mine) == 2  # column + mask segments while open
         shared.close()
         shared.close()
-        assert not {s for s in _repb_segments()
-                    if s.startswith(shared._prefix)}
+        assert not {s for s in _repb_segments() if s.startswith(prefix)}
 
 
 # ----------------------------------------------------------------------
@@ -169,24 +154,13 @@ class TestProcessPoolDifferential:
             ("query", "a | ~b"),
             ("drop", "c"),
             ("query", "a & b"),
-        ]
-        assert_ops_equivalent(
-            table, ops, n_shards=4, workers=workers,
-            parallel_min_work=0 if workers else None)
-
-    def test_ops_script_exact_with_replicas(self, rng):
-        table = _table(rng, "ab", 1024)
-        ops = [
-            ("query", "a & b"),
-            ("update", "a", rng.integers(0, 2, 1024, dtype=np.uint8)),
-            ("query", "a & b"),
-            ("query", "a ^ b"),
             ("append", {"a": np.ones(64, dtype=np.uint8)}),
             ("query", "a | b"),
         ]
-        assert_ops_equivalent(table, ops, n_shards=4, replicas=1,
-                              parallel_min_work=0,
-                              capacity=1024 + 64)
+        assert_ops_equivalent(
+            table, ops, n_shards=4, workers=workers,
+            parallel_min_work=0 if workers else None,
+            capacity=1024 + 64)
 
 
 # ----------------------------------------------------------------------
@@ -242,13 +216,12 @@ class TestWorkerCrash:
 class TestSegmentHygiene:
     def test_service_close_unlinks_all_segments(self, rng):
         before = _repb_segments()
-        svc = _service(workers=2, replicas=1)
+        svc = _service(workers=2)
         for name, bits in _table(rng).items():
             svc.create_column(name, bits)
         svc.query("a ^ b", use_cache=False)  # spin up the pool
-        assert svc._replica_set.wait_caught_up()
         during = _repb_segments() - before
-        assert during, "expected live store/replica/out segments"
+        assert during, "expected live store/out segments"
         svc.close()
         assert not (_repb_segments() - before)
 
@@ -258,8 +231,7 @@ class TestSegmentHygiene:
             for name, bits in _table(rng).items():
                 svc.create_column(name, bits)
             svc.query("a & c", use_cache=False)
-            segname = svc._store.segment_name("c") \
-                if hasattr(svc._store, "segment_name") else None
+            segname = svc._store.segment_name("c")
             svc.drop_column("c")
             assert segname not in _repb_segments()
             # remaining columns still fully queryable after the drop
@@ -268,189 +240,38 @@ class TestSegmentHygiene:
         finally:
             svc.close()
 
+    def test_exit_without_close_unlinks_segments(self, tmp_path):
+        """A process that exits without ``close()`` must unlink its
+        segments itself — not leave them for the resource tracker to
+        reap (and warn about) after the fact."""
+        child = tmp_path / "child.py"
+        child.write_text(textwrap.dedent("""
+            import glob, os
+            import numpy as np
+            from repro.service import BitwiseService
 
-# ----------------------------------------------------------------------
-# read replicas: staleness contract and read-your-writes
-# ----------------------------------------------------------------------
-class TestReplicas:
-    def test_replica_serves_reads_and_converges(self, rng):
-        svc = _service(replicas=2)
-        try:
-            table = _table(rng, "ab")
-            for name, bits in table.items():
-                svc.create_column(name, bits)
-            assert svc._replica_set.wait_caught_up()
-            truth = int(np.sum(table["a"] & table["b"]))
-            for _ in range(4):
-                assert svc.query("a & b",
-                                 use_cache=False).count == truth
-            assert svc.replica_reads >= 1
-            stats = svc._replica_set.stats()
-            assert stats["lag"] == 0
-            assert sum(stats["reads"]) >= 1
-            # replica state is word-for-word the primary's
-            for replica in svc._replica_set.replicas:
-                for physical, matrix in svc._store._matrices.items():
-                    assert np.array_equal(
-                        replica.matrices[physical], matrix)
-                assert replica.applied_gen == svc._store.generations
-        finally:
-            svc.close()
-
-    def test_read_your_writes_while_applier_lags(self, rng):
-        """The mutating tenant must never read stale bits, even with
-        the applier artificially slowed so every query races an
-        unapplied mutation (the generation fence routes to primary)."""
-        svc = _service(replicas=1)
-        try:
-            svc.create_column("a", rng.integers(0, 2, N_BITS,
-                                                dtype=np.uint8))
-            assert svc._replica_set.wait_caught_up()
-            replica = svc._replica_set.replicas[0]
-            original_apply = replica.apply
-
-            def slow_apply(event):
-                time.sleep(0.02)
-                original_apply(event)
-
-            replica.apply = slow_apply
-            try:
-                for _ in range(8):
-                    bits = rng.integers(0, 2, N_BITS, dtype=np.uint8)
-                    svc.update_column("a", bits)
-                    result = svc.query("a", use_cache=False)
-                    assert result.count == int(bits.sum())
-                    assert np.array_equal(result.bits, bits)
-            finally:
-                replica.apply = original_apply
-            assert svc._replica_set.wait_caught_up()
-            assert np.array_equal(
-                replica.matrices[next(iter(replica.matrices))],
-                svc._store._matrices[next(iter(
-                    svc._store._matrices))])
-        finally:
-            svc.close()
-
-    def test_stale_replica_read_is_never_cached(self, rng):
-        """A query served by a lagging replica must not poison the
-        result cache: once the tenant's fence admits a stale replica
-        read is impossible, the only cacheable results are fresh."""
-        svc = _service(replicas=1)
-        try:
-            bits = rng.integers(0, 2, N_BITS, dtype=np.uint8)
-            svc.create_column("a", bits)
-            assert svc._replica_set.wait_caught_up()
-            new = 1 - bits
-            svc.update_column("a", new)
-            # cache warm-up attempt while the applier may still lag
-            warm = svc.query("a", use_cache=True)
-            assert warm.count == int(new.sum())
-            assert svc._replica_set.wait_caught_up()
-            cached = svc.query("a", use_cache=True)
-            assert cached.count == int(new.sum())
-            assert np.array_equal(cached.bits, new)
-        finally:
-            svc.close()
-
-    def test_replica_set_applies_structural_events(self, rng):
-        svc = _service(replicas=1)
-        try:
-            svc.create_column("a", rng.integers(0, 2, N_BITS,
-                                                dtype=np.uint8))
-            svc.create_column("b", rng.integers(0, 2, N_BITS,
-                                                dtype=np.uint8))
-            svc.drop_column("b")
-            svc.append_rows({"a": np.ones(64, dtype=np.uint8)})
-            assert svc._replica_set.wait_caught_up()
-            replica = svc._replica_set.replicas[0]
-            assert replica.applied_struct == \
-                svc._store.struct_generation
-            assert replica.applied_mask_gen == \
-                svc._store.mask_generation
-            assert replica.n_bits == svc._store.n_bits
-            assert set(replica.matrices) == set(svc._store._matrices)
-        finally:
-            svc.close()
-
-    def test_drop_prunes_fences_so_recreation_serves_replicas(
-            self, rng):
-        """A recreated physical restarts its generation at 1; a stale
-        fence left by the dropped incarnation must not refuse every
-        replica for that tenant forever."""
-        svc = _service(replicas=1)
-        try:
-            bits = rng.integers(0, 2, N_BITS, dtype=np.uint8)
-            svc.create_column("a", bits)
-            svc.update_column("a", 1 - bits)
-            physical = svc.tenant_state(None).resolve("a")
-            assert svc._fences[None][physical] >= 2
-            svc.drop_column("a")
-            assert all(physical not in fence
-                       for fence in svc._fences.values())
-
-            new = rng.integers(0, 2, N_BITS, dtype=np.uint8)
-            svc.create_column("a", new)
-            assert svc._replica_set.wait_caught_up()
-            before = svc.replica_reads
-            for _ in range(3):
-                result = svc.query("a", use_cache=False)
-                assert result.count == int(new.sum())
-            assert svc.replica_reads > before
-        finally:
-            svc.close()
-
-    def test_drop_forgets_replica_segment_in_workers(self, rng):
-        """``drop`` must forget the replica's own segment name too —
-        workers that attached it during replica-routed scatter would
-        otherwise hold the unlinked pages until respawn."""
-        primary = SharedColumnStore(1024, 4)
-        forgotten: list[str] = []
-        try:
-            primary.add("a", rng.integers(0, 2, 1024, dtype=np.uint8))
-            replica_set = ReplicaSet(primary, 1,
-                                     read_lock=nullcontext,
-                                     forget=forgotten.append)
-            try:
-                replica = replica_set.replicas[0]
-                replica_seg = replica.segments["a"].name
-                event = primary.drop("a")
-                replica_set.publish(event)
-                assert replica_set.wait_caught_up()
-                assert event[3] in forgotten   # primary segment
-                assert replica_seg in forgotten  # replica segment
-            finally:
-                replica_set.close()
-        finally:
-            primary.close()
-
-    def test_direct_replica_fencing_predicate(self, rng):
-        primary = SharedColumnStore(N_BITS, 4)
-        try:
-            primary.add("a", rng.integers(0, 2, N_BITS,
-                                          dtype=np.uint8))
-            replica = ReplicaStore(primary, 0,
-                                   read_lock=nullcontext)
-            try:
-                struct = primary.struct_generation
-                mask_gen = primary.mask_generation
-                assert replica.can_serve(["a"], None, struct,
-                                         mask_gen)
-                event = primary.set(
-                    "a", rng.integers(0, 2, N_BITS, dtype=np.uint8))
-                fence = {"a": primary.generations["a"]}
-                # not yet applied: the fence must refuse the replica
-                assert not replica.can_serve(["a"], fence, struct,
-                                             mask_gen)
-                replica.apply(event)
-                assert replica.can_serve(["a"], fence, struct,
-                                         mask_gen)
-                # structural drift also disqualifies
-                assert not replica.can_serve(["a"], fence, struct + 1,
-                                             mask_gen)
-            finally:
-                replica.close()
-        finally:
-            primary.close()
+            if __name__ == "__main__":
+                svc = BitwiseService(n_bits=4096, workers=2)
+                svc._parallel_min_work = 0  # scatter to the workers
+                rng = np.random.default_rng(0)
+                for name in "ab":
+                    svc.create_column(
+                        name, rng.integers(0, 2, 4096, dtype=np.uint8))
+                assert svc.query("a & b").count > 0
+                mine = glob.glob(f"/dev/shm/repb{os.getpid()}*")
+                print(len(mine), svc.stats()["executor"]["mode"])
+        """))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        done = subprocess.run([sys.executable, str(child)], env=env,
+                              capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        live, mode = done.stdout.split()
+        # store columns + mask, plus the pool's output segment
+        assert int(live) == 4 and mode == "process"
+        assert "leaked shared_memory" not in done.stderr
+        # the autouse fixture asserts no repb* entry survived the child
 
 
 # ----------------------------------------------------------------------
@@ -495,7 +316,7 @@ class TestWorkerPool:
         from repro.arch.expr import compile_expr
         from repro.arch.program import vector_payload
 
-        store = SharedColumnStore(1024, 4)
+        store = ColumnStore(1024, 4, shared=True)
         pool = WorkerPool(store.shape, workers=2)
         try:
             a = rng.integers(0, 2, 1024, dtype=np.uint8)
@@ -516,7 +337,7 @@ class TestWorkerPool:
             # Simulate the failed round: dispatch a different plan to
             # every worker with a stale job id and never drain the
             # ("ok", stale_id, or_counts) replies.
-            outs = [(None, pool._out_segments[0].name)]
+            outs = [(None, pool._out_views[0][0])]
             for index, state in enumerate(pool._workers):
                 state.conn.send(("exec", {
                     "id": 0, "plan": key_or, "spec": spec_or,
@@ -540,7 +361,7 @@ class TestWorkerPool:
         from repro.arch.expr import compile_expr
         from repro.arch.program import vector_payload
 
-        store = SharedColumnStore(1024, 4)
+        store = ColumnStore(1024, 4, shared=True)
         pool = WorkerPool(store.shape, workers=2)
         try:
             a = rng.integers(0, 2, 1024, dtype=np.uint8)

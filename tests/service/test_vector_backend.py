@@ -205,14 +205,18 @@ class TestVectorBatchSemantics:
 
 
 class TestGenerationRace:
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_inflight_execute_never_caches_stale_bits(self, table,
-                                                      monkeypatch):
+                                                      monkeypatch,
+                                                      workers):
         """Deterministic interleaving: drop/create a column while an
         execute is in flight.  The in-flight result (computed from the
-        pre-mutation snapshot) must not land in the invalidated cache,
-        and the next query must serve fresh bits."""
+        matrices it bound before the drop) must not land in the
+        invalidated cache, and the next query must serve fresh bits.
+        With 2 workers the store is in shared memory: the dropped
+        column's segment is unlinked but stays mapped."""
         svc = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=3,
-                             backend="vector")
+                             backend="vector", workers=workers)
         try:
             for name, bits in table.items():
                 svc.create_column(name, bits)
@@ -258,12 +262,13 @@ class TestGenerationRace:
         finally:
             svc.close()
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_snapshot_consistency_during_drop(self, table,
-                                              monkeypatch):
+                                              monkeypatch, workers):
         """An in-flight query never observes a half-mutated table
-        (its snapshot pins the original matrices)."""
+        (it bound the original matrices before the drop)."""
         svc = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=3,
-                             backend="vector")
+                             backend="vector", workers=workers)
         try:
             for name, bits in table.items():
                 svc.create_column(name, bits)

@@ -231,7 +231,7 @@ def assert_ops_equivalent(initial_table: dict, ops, *,
                           technology="feram-2tnc", n_shards=3,
                           capacity=None, cache_size=64,
                           fused=True, workers=None,
-                          parallel_min_work=None, replicas=0):
+                          parallel_min_work=None):
     """Differential assertion for serialized mutation/query scripts.
 
     Runs the same op script on a vector-backend service, a
@@ -241,9 +241,9 @@ def assert_ops_equivalent(initial_table: dict, ops, *,
     dirty rows/energy.  Finally the column states and the full service
     ledgers (compute + writeback maintenance) must agree.
 
-    ``workers``/``parallel_min_work``/``replicas`` select the vector
-    backend's executor tier (shared-memory process pool and replica
-    routing); the reference replay ignores them.
+    ``workers``/``parallel_min_work`` select the vector backend's
+    executor tier (shared-memory process pool); the reference replay
+    ignores them.
     """
     n_bits = len(next(iter(initial_table.values())))
     services = {
@@ -251,9 +251,7 @@ def assert_ops_equivalent(initial_table: dict, ops, *,
                                 n_shards=n_shards, backend=backend,
                                 capacity=capacity,
                                 cache_size=cache_size,
-                                fuse=fused, workers=workers,
-                                replicas=(replicas if
-                                          backend == "vector" else 0))
+                                fuse=fused, workers=workers)
         for backend in ("reference", "vector")
     }
     if parallel_min_work is not None:
