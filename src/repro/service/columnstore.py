@@ -12,10 +12,13 @@ of every kernel.
 Matrices come from one of two allocators, chosen at construction: the
 heap, or named shared-memory segments (:class:`SegmentArena`) that
 shard-worker processes map zero-copy.  Either way the store has one
-write model: :meth:`ColumnStore.set` writes the dirty words **in
-place**.  Programs only ever *read* column matrices (all writes target
-scratch registers from the :class:`MatrixPool`), and the owning service
-serializes ``set``/``resize`` against running queries with its table
+write model: :meth:`ColumnStore.write` packs only the words a slice
+covers and stores the ones that differ **in place**, so a write costs
+O(words covered), not O(table width); :meth:`ColumnStore.read` unpacks
+only the words a page covers.  Programs only ever *read* column
+matrices (all writes target scratch registers from the
+:class:`MatrixPool`), and the owning service serializes
+``write``/``resize`` against running queries with its table
 readers/writer lock.
 
 Shard geometry is word-aligned and identical to the reference backend's
@@ -28,6 +31,7 @@ produced by NOT-like kernels never leaks into counts or readouts.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 import threading
@@ -290,6 +294,10 @@ class ColumnStore:
             for start, stop in self.spans
         ]
         self.words_per_shard = max(self.shard_words)
+        #: global index of each shard's first word (spans are
+        #: word-aligned, so shard i holds words
+        #: [_word_starts[i], _word_starts[i] + shard_words[i]))
+        self._word_starts = [start // WORD_BITS for start, _ in self.spans]
         self.shape = (self.n_shards, self.words_per_shard)
         self._matrices: dict[str, np.ndarray] = {}
         self._arena = SegmentArena(self.shape, "x") if shared else None
@@ -303,22 +311,26 @@ class ColumnStore:
         # so readouts reduce to a single unpackbits over the matrix.
         self._uniform = all(words == self.words_per_shard
                             for words in self.shard_words)
+        self.n_bits = 0
         self.resize(int(n_bits))
 
     def resize(self, n_bits: int) -> None:
         """Set the logical width (grows toward capacity on appends).
 
         Column matrices are already zero beyond the old width, so only
-        the validity mask is rewritten (in place — workers map it);
-        callers write appended values afterwards via :meth:`set`.
+        the validity mask words between the old and new width are
+        rewritten (in place — workers map it); callers write appended
+        values afterwards via :meth:`write`.
         """
         if not 0 < n_bits <= self.capacity:
             raise QueryError(
                 f"logical width {n_bits} outside (0, {self.capacity}]")
-        self.n_bits = int(n_bits)
+        old, self.n_bits = self.n_bits, int(n_bits)
         # Validity mask: 1-bits exactly at positions holding table bits.
-        np.copyto(self._mask,
-                  self._pack(np.ones(self.n_bits, dtype=np.uint8)))
+        lo, hi = sorted((old, self.n_bits))
+        if hi > lo:
+            self._overlay(self._mask, lo, np.full(
+                hi - lo, self.n_bits > old, dtype=np.uint8))
         self._full = self._uniform and self.n_bits == \
             self.n_shards * self.words_per_shard * WORD_BITS
 
@@ -338,6 +350,88 @@ class ColumnStore:
             return self._segments[name]
         except KeyError:
             raise QueryError(f"no shared segment for {name!r}") from None
+
+    # ------------------------------------------------------------------
+    # word-granular access (global word index = bit position // 64)
+    # ------------------------------------------------------------------
+    def _runs(self, lo_w: int, hi_w: int):
+        """``(shard, local word, global lo, global hi)`` per shard run
+        covering global words ``[lo_w, hi_w)``."""
+        index = bisect.bisect_right(self._word_starts, lo_w) - 1
+        while index < self.n_shards and self._word_starts[index] < hi_w:
+            first = self._word_starts[index]
+            lo = max(lo_w, first)
+            hi = min(hi_w, first + self.shard_words[index])
+            yield index, lo - first, lo, hi
+            index += 1
+
+    def _get_words(self, matrix: np.ndarray, lo_w: int,
+                   hi_w: int) -> np.ndarray:
+        """Copy of global words ``[lo_w, hi_w)`` of a matrix."""
+        out = np.empty(hi_w - lo_w, dtype=np.uint64)
+        for index, local, lo, hi in self._runs(lo_w, hi_w):
+            out[lo - lo_w:hi - lo_w] = matrix[index, local:local + hi - lo]
+        return out
+
+    def _overlay(self, matrix: np.ndarray, lo: int,
+                 bits: np.ndarray) -> np.ndarray:
+        """Store ``bits`` at bit position ``lo`` of a matrix; returns
+        the global indices of the words whose value changed.
+
+        Packs only the words the slice covers, keeping the bits the
+        two boundary words hold outside it, and stores just the words
+        that differ."""
+        hi = lo + bits.size
+        lo_w, hi_w = lo // WORD_BITS, -(-hi // WORD_BITS)
+        old = self._get_words(matrix, lo_w, hi_w)
+        head = lo - lo_w * WORD_BITS
+        if head:  # shift the slice to its bit position in the word
+            bits = np.concatenate([np.zeros(head, dtype=bits.dtype), bits])
+        new = np.zeros(hi_w - lo_w, dtype=np.uint64)
+        packed = np.packbits(bits, bitorder="little")
+        new.view(np.uint8)[:packed.size] = packed
+        new[0] |= old[0] & np.uint64((1 << head) - 1)
+        tail = hi_w * WORD_BITS - hi
+        if tail:
+            new[-1] |= old[-1] & ~np.uint64((1 << (WORD_BITS - tail)) - 1)
+        changed = np.flatnonzero(old != new)
+        words = lo_w + changed
+        shard = np.searchsorted(self._word_starts, words, side="right") - 1
+        matrix[shard, words - np.take(self._word_starts, shard)] = \
+            new[changed]
+        return words
+
+    def write(self, name: str, offset: int, bits: np.ndarray) -> np.ndarray:
+        """Overlay ``bits`` at logical position ``offset``, in place.
+
+        Costs O(words covered), not O(table width).  Returns the global
+        indices of the words whose value changed (rewriting identical
+        data changes nothing).  Not atomic against concurrent readers:
+        the caller holds the table write lock (queries hold the read
+        side).
+        """
+        matrix = self.matrix(name)
+        bits = np.asarray(bits)
+        if bits.ndim != 1 or not 0 <= offset < offset + bits.size \
+                <= self.n_bits:
+            raise QueryError(
+                f"write of shape {bits.shape} at {offset} outside "
+                f"[0, {self.n_bits})")
+        words = self._overlay(matrix, int(offset), bits)
+        self.generations[name] += 1
+        return words
+
+    def read(self, name: str, offset: int, limit: int) -> np.ndarray:
+        """Bits ``[offset, offset + limit)`` of a column, clipped to
+        the logical width; unpacks only the words the page covers."""
+        lo, hi = int(offset), min(int(offset) + int(limit), self.n_bits)
+        if hi <= lo:
+            return np.zeros(0, dtype=np.uint8)
+        lo_w = lo // WORD_BITS
+        words = self._get_words(self.matrix(name), lo_w,
+                                -(-hi // WORD_BITS))
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        return bits[lo - lo_w * WORD_BITS:hi - lo_w * WORD_BITS]
 
     # ------------------------------------------------------------------
     # packing / unpacking
@@ -451,18 +545,6 @@ class ColumnStore:
         self._matrices[name] = matrix
         self.generations[name] = 1
 
-    def set(self, name: str, bits: np.ndarray) -> None:
-        """Write the words that differ from ``bits`` in place.
-
-        Not atomic against concurrent readers: the caller holds the
-        table write lock (queries hold the read side).
-        """
-        flat_old = self.matrix(name).reshape(-1)
-        flat_new = self._pack(bits).reshape(-1)
-        dirty = np.flatnonzero(flat_old != flat_new)
-        flat_old[dirty] = flat_new[dirty]
-        self.generations[name] += 1
-
     def drop(self, name: str) -> str | None:
         """Remove a column; returns its retired segment name (if any).
 
@@ -492,7 +574,7 @@ class ColumnStore:
         """Binding of every column to its current matrix.
 
         Survives later drops and re-adds (they rebind names, never
-        reuse a matrix), but not :meth:`set`, which writes in place.
+        reuse a matrix), but not :meth:`write`, which writes in place.
         """
         return dict(self._matrices)
 

@@ -616,7 +616,11 @@ class BitwiseService:
             segment = None
             if self.backend == "vector":
                 if self._store is not None:
-                    segment = self._store.drop(physical)
+                    # Retire the segment only once no batch that may
+                    # have bound the column is still in flight: its
+                    # shard workers attach the segment by name.
+                    with self._table_rw.write():
+                        segment = self._store.drop(physical)
                 with self._stats_lock:
                     self._rows_used -= sum(self._shard_rows)
                     self._col_flags.pop(physical, None)
@@ -648,7 +652,8 @@ class BitwiseService:
         physical = self._resolve(tenant, name)
         if not self.functional:
             return None
-        return self._current_bits(physical)
+        with self._table_rw.read():
+            return self._current_bits(physical)
 
     # ------------------------------------------------------------------
     # column mutation
@@ -709,14 +714,10 @@ class BitwiseService:
             self._log_wal({"kind": op, "tenant": tenant, "name": name,
                            "offset": offset}, values)
             if self.functional:
-                old = self._current_bits(physical)
-                new = old.copy()
-                new[offset:offset + size] = values
-                words = dirty_word_indices(old, new, offset,
-                                           offset + size)
-                rows_by_shard = self._rows_by_shard_words(words)
                 with self._table_rw.write():
-                    self._write_payload(physical, new)
+                    words = self._write_bits(physical, offset, values,
+                                             self.n_bits)
+                rows_by_shard = self._rows_by_shard_words(words)
             else:
                 rows_by_shard = self._rows_by_shard_span(
                     offset, offset + size)
@@ -791,30 +792,18 @@ class BitwiseService:
                      "names": logicals},
                     [arrays[state.resolve(logical)]
                      for logical in logicals] or None)
-            per_column: dict[str, list[int]] = {}
-            news: dict[str, np.ndarray] = {}
-            if self.functional:
-                for physical, arr in arrays.items():
-                    old_full = np.zeros(new_n, dtype=np.uint8)
-                    old_full[:old_n] = self._current_bits(physical)
-                    new_full = old_full.copy()
-                    new_full[old_n:new_n] = arr
-                    words = dirty_word_indices(old_full, new_full,
-                                               old_n, new_n)
-                    per_column[physical] = \
-                        self._rows_by_shard_words(words)
-                    news[physical] = new_full
-            else:
-                span_rows = self._rows_by_shard_span(old_n, new_n)
-                per_column = dict.fromkeys(arrays, span_rows)
             self.n_bits = new_n
             # One write section: readers see the old width and values
             # or the new ones, never the mask of one with the other.
             with self._table_rw.write():
                 if self._store is not None:
                     self._store.resize(new_n)
-                for physical, new in news.items():
-                    self._write_payload(physical, new)
+                per_column = {
+                    physical: self._rows_by_shard_words(
+                        self._write_bits(physical, old_n, arr, old_n))
+                    for physical, arr in arrays.items()
+                } if self.functional else dict.fromkeys(
+                    arrays, self._rows_by_shard_span(old_n, new_n))
             # Appends re-encode every column to the plain polarity.
             self._normalize_encoding(self._columns)
             for physical in self._columns:
@@ -842,29 +831,42 @@ class BitwiseService:
             columns_written=tuple(dict(values or {})))
 
     # -- mutation plumbing ---------------------------------------------
-    def _current_bits(self, physical: str) -> np.ndarray:
-        """Logical column value, sliced to the logical width."""
-        with self._table_rw.read():
-            if self.backend == "vector":
-                return self._store.bits(physical)
-            parts = []
-            for shard in self._shards:
-                with shard.lock:
-                    parts.append(shard.columns[physical].logical_bits()
-                                 [: shard.n_bits])
-            return np.concatenate(parts)[: self.n_bits]
+    def _current_bits(self, physical: str, offset: int = 0,
+                      limit: int | None = None) -> np.ndarray:
+        """Bits ``[offset, offset + limit)`` of a column's logical
+        value, the whole column by default (table lock held)."""
+        if limit is None:
+            limit = self.n_bits
+        if self.backend == "vector":
+            return self._store.read(physical, offset, limit)
+        parts = []
+        for shard in self._shards:
+            with shard.lock:
+                parts.append(shard.columns[physical].logical_bits()
+                             [: shard.n_bits])
+        return np.concatenate(parts)[: self.n_bits][offset:offset + limit]
 
-    def _write_payload(self, physical: str, new: np.ndarray) -> None:
-        """Write a column's new logical value in place, plain-encoded
-        (table write lock held, so no query batch is mid-execution).
+    def _write_bits(self, physical: str, offset: int,
+                    values: np.ndarray, width: int) -> np.ndarray:
+        """Overlay ``values`` at ``offset``, plain-encoded, in place;
+        returns the changed global word indices.  ``width`` is the
+        column's logical width before the write (below the table
+        width on an append, whose new rows are still zero).
 
+        Table write lock held, so no query batch is mid-execution.
         Stat-neutral host simulation of the TBA write whose energy the
         accountant charges analytically."""
         if self.backend == "vector":
-            self._store.set(physical, new)
+            words = self._store.write(physical, offset, values)
             with self._stats_lock:
                 self._col_flags[physical] = False
-            return
+            return words
+        # The reference engines keep no word-granular layout: diff and
+        # rewrite the column's whole payload.
+        old = np.zeros(self.n_bits, dtype=np.uint8)
+        old[:width] = self._current_bits(physical, 0, width)
+        new = old.copy()
+        new[offset:offset + values.size] = values
         padded = np.zeros(self.capacity, dtype=np.uint8)
         padded[: new.size] = new
         row_bits = self._spec.row_bits
@@ -875,6 +877,7 @@ class BitwiseService:
             grid[: stop - start] = padded[start:stop]
             vec.payload = pack_bits(grid, row_bits)
             vec.complemented = False
+        return dirty_word_indices(old, new, offset, offset + values.size)
 
     def _normalize_encoding(self, physicals) -> None:
         """Force columns to the plain (non-complemented) encoding."""
@@ -964,19 +967,21 @@ class BitwiseService:
                 f"fetch payloads in pages")
         state = self.tenant_state(tenant)
         if name in state.columns:
-            bits = self.column_bits(name, tenant=tenant)
-            source = "column"
+            if self.functional:
+                with self._table_rw.read():
+                    return self._current_bits(
+                        state.columns[name], offset, limit), \
+                        self.n_bits, "column"
         else:
             entry = self._cache_peek(self._cache_scope(tenant, name))
             if entry is None:
                 raise QueryError(
                     f"no column or cached result {name!r}")
             bits = entry.result.bits
-            source = "result"
-        if bits is None:
-            raise QueryError(
-                f"{name!r} has no payload (counting mode)")
-        return bits[offset:offset + limit], int(bits.size), source
+            if bits is not None:
+                return bits[offset:offset + limit], int(bits.size), \
+                    "result"
+        raise QueryError(f"{name!r} has no payload (counting mode)")
 
     def read_bits(self, name: str, offset: int = 0, limit: int = 64,
                   *, tenant: str | None = None) -> dict:

@@ -15,8 +15,8 @@ per-shard popcounts over the pipe.  Plan compilation, caches, Stats
 accounting, durability and tenancy never leave the coordinator.
 
 Workers never write column segments, and the service runs every
-scatter under its table read lock while ``set`` writes dirty words in
-place under the write side — so a worker that dies mid-batch (crash,
+scatter under its table read lock while ``ColumnStore.write`` stores
+changed words in place under the write side — so a worker that dies mid-batch (crash,
 ``kill -9``) or hangs past the timeout is respawned and its job
 replayed bit-exactly.
 
@@ -26,8 +26,9 @@ which also unlinks them if the process exits without ``close()``).
 Workers only ever attach (never unlink, never unregister — the
 resource tracker is shared with the coordinator), so a dying worker
 can never take pages the coordinator still serves.  A dropped column's
-segment is unlinked at once and its name sent to :meth:`WorkerPool.
-forget`, so workers release their mapping too.
+segment is unlinked under the table write lock (after every in-flight
+batch that could have bound it) and its name sent to
+:meth:`WorkerPool.forget`, so workers release their mapping too.
 """
 
 from __future__ import annotations

@@ -12,6 +12,11 @@ from repro.arch.primitives import default_spec
 from repro.arch.writeback import policy_for_spec
 from repro.errors import QueryError
 from repro.service import BitwiseService
+from repro.service.columnstore import (
+    ColumnStore,
+    dirty_word_indices,
+    shard_spans,
+)
 from tests.support.differential import assert_ops_equivalent
 
 N_BITS = 4 * 64 * 3  # 3 words per shard on 4 shards
@@ -148,6 +153,71 @@ class TestAppendRows:
             with pytest.raises(QueryError, match="sized"):
                 svc.append_rows({"a": np.ones(8, dtype=np.uint8),
                                  "b": np.ones(4, dtype=np.uint8)})
+
+
+class TestWordGranularCost:
+    def test_mutations_and_pages_never_touch_the_full_width(
+            self, rng, monkeypatch):
+        """Guard: on a 16Mi-bit table, slice writes, appends and column
+        pages must cost O(words covered) — the full-width pack/unpack
+        raises here — and still charge exactly the dirty rows."""
+        n_bits, n_shards = 1 << 24, 4
+        capacity = n_bits + 4096
+        spec = default_spec("feram-2tnc")
+        spans = shard_spans(capacity, n_shards)
+        a = rng.integers(0, 2, n_bits, dtype=np.uint8)
+
+        def expected_rows(old, new, lo, hi):
+            rows = {(index, (word * 64 - start) // spec.row_bits)
+                    for word in dirty_word_indices(old, new, lo, hi)
+                    for index, (start, stop) in enumerate(spans)
+                    if start <= word * 64 < stop}
+            return len(rows), len({index for index, _ in rows})
+
+        def full_width(*args, **kwargs):
+            raise AssertionError("full-width pack/unpack on a mutation")
+
+        with BitwiseService(n_bits=n_bits, n_shards=n_shards,
+                            capacity=capacity) as svc:
+            svc.create_column("a", a)
+            svc.create_column("b", np.zeros(n_bits, dtype=np.uint8))
+            monkeypatch.setattr(ColumnStore, "unpack", full_width)
+            monkeypatch.setattr(ColumnStore, "_pack", full_width)
+
+            offset = spans[2][0] - 1000  # crosses a shard boundary
+            patch = rng.integers(0, 2, 4096, dtype=np.uint8)
+            new = a.copy()
+            new[offset:offset + 4096] = patch
+            result = svc.write_slice("a", offset, patch)
+            rows, shards = expected_rows(a, new, offset, offset + 4096)
+            assert (result.rows_written, result.dirty_shards) == \
+                (rows, shards) and shards == 2
+            assert math.isclose(result.energy_j,
+                                rows * spec.e_row_write, rel_tol=1e-12)
+
+            tail = rng.integers(0, 2, 100, dtype=np.uint8)
+            result = svc.append_rows({"a": tail, "b": np.ones(100,
+                                                              np.uint8)})
+            grown = np.concatenate([new, tail])
+            rows_a, _ = expected_rows(
+                np.concatenate([new, np.zeros(100, np.uint8)]), grown,
+                n_bits, n_bits + 100)
+            rows_b, _ = expected_rows(
+                np.zeros(n_bits + 100, np.uint8),
+                np.concatenate([np.zeros(n_bits, np.uint8),
+                                np.ones(100, np.uint8)]),
+                n_bits, n_bits + 100)
+            assert result.rows_written == rows_a + rows_b
+            assert math.isclose(result.energy_j,
+                                result.rows_written * spec.e_row_write,
+                                rel_tol=1e-12)
+
+            page = svc.read_bits("a", offset - 64, 4096 + 128)
+            assert page["total"] == n_bits + 100
+            assert page["bits"] == "".join(
+                map(str, grown[offset - 64:offset + 4096 + 64]))
+            page = svc.read_bits_array("a", n_bits - 28, 1000)
+            assert np.array_equal(page["bits"], grown[n_bits - 28:])
 
 
 class TestCountingMode:

@@ -84,8 +84,8 @@ class TestSharedColumnStore:
             assert shared.generations["a"] == 1
 
             new = rng.integers(0, 2, N_BITS, dtype=np.uint8)
-            base.set("a", new)
-            shared.set("a", new)
+            base.write("a", 0, new)
+            shared.write("a", 0, new)
             assert np.array_equal(shared.matrix("a"), base.matrix("a"))
             assert shared.generations["a"] == base.generations["a"] == 2
 
@@ -99,12 +99,13 @@ class TestSharedColumnStore:
             shared.close()
 
     @pytest.mark.parametrize("shared", [False, True])
-    def test_set_is_in_place_not_rebind(self, rng, shared):
+    def test_write_is_in_place_not_rebind(self, rng, shared):
         store = ColumnStore(N_BITS, 4, shared=shared)
         try:
             store.add("a", rng.integers(0, 2, N_BITS, dtype=np.uint8))
             view = store.matrix("a")
-            store.set("a", rng.integers(0, 2, N_BITS, dtype=np.uint8))
+            store.write("a", 0,
+                        rng.integers(0, 2, N_BITS, dtype=np.uint8))
             assert store.matrix("a") is view
         finally:
             store.close()

@@ -210,11 +210,12 @@ class TestGenerationRace:
                                                       monkeypatch,
                                                       workers):
         """Deterministic interleaving: drop/create a column while an
-        execute is in flight.  The in-flight result (computed from the
-        matrices it bound before the drop) must not land in the
+        execute is in flight.  The drop waits on the table lock until
+        the in-flight batch is done; that result (computed from the
+        matrices it bound before the drop) must not survive in the
         invalidated cache, and the next query must serve fresh bits.
         With 2 workers the store is in shared memory: the dropped
-        column's segment is unlinked but stays mapped."""
+        column's segment is unlinked only after the batch."""
         svc = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=3,
                              backend="vector", workers=workers)
         try:
@@ -243,11 +244,19 @@ class TestGenerationRace:
             # service has already snapshotted generation + columns.
             monkeypatch.setattr(CompiledQuery, "vector_program",
                                 original)
-            svc.drop_column("b")
-            svc.create_column("b", 1 - table["b"])
+
+            def replace_b():
+                svc.drop_column("b")
+                svc.create_column("b", 1 - table["b"])
+
+            writer = threading.Thread(target=replace_b)
+            writer.start()
+            writer.join(timeout=0.2)
+            assert writer.is_alive()  # blocked behind the batch
             resume.set()
             thread.join(timeout=10)
-            assert not thread.is_alive()
+            writer.join(timeout=10)
+            assert not thread.is_alive() and not writer.is_alive()
             # The in-flight query served the consistent pre-mutation
             # snapshot...
             stale = stale_result["r"]
@@ -265,8 +274,8 @@ class TestGenerationRace:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_snapshot_consistency_during_drop(self, table,
                                               monkeypatch, workers):
-        """An in-flight query never observes a half-mutated table
-        (it bound the original matrices before the drop)."""
+        """An in-flight query never observes a half-mutated table:
+        the drop waits until the batch that bound the column is done."""
         svc = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=3,
                              backend="vector", workers=workers)
         try:
@@ -291,11 +300,68 @@ class TestGenerationRace:
             assert entered.wait(timeout=10)
             monkeypatch.setattr(CompiledQuery, "vector_program",
                                 original)
-            svc.drop_column("a")
+            writer = threading.Thread(target=svc.drop_column, args=("a",))
+            writer.start()
+            writer.join(timeout=0.2)
+            assert writer.is_alive()  # blocked behind the batch
             resume.set()
             thread.join(timeout=10)
-            assert not thread.is_alive()
+            writer.join(timeout=10)
+            assert not thread.is_alive() and not writer.is_alive()
             assert np.array_equal(result["r"].bits,
                                   table["a"] ^ table["b"])
+            assert "a" not in svc.columns
+        finally:
+            svc.close()
+
+    def test_drop_waits_for_scattered_batch(self, table, monkeypatch):
+        """Regression: a batch scattered to shard workers binds its
+        columns, then the workers attach their segments by name.  A
+        drop landing in between used to unlink the segment first and
+        fail the batch; now it waits, and the batch returns the
+        pre-drop bits."""
+        svc = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=3,
+                             backend="vector", workers=2)
+        svc._parallel_min_work = 0  # force the scatter path
+        try:
+            for name, bits in table.items():
+                svc.create_column(name, bits)
+            entered = threading.Event()
+            resume = threading.Event()
+            original = CompiledQuery.vector_program
+
+            def gated(plan, **kwargs):
+                program = original(plan, **kwargs)
+                entered.set()
+                assert resume.wait(timeout=10)
+                return program
+
+            monkeypatch.setattr(CompiledQuery, "vector_program", gated)
+            result = {}
+
+            def client():
+                try:
+                    result["r"] = svc.query("a & ~b", use_cache=False)
+                except Exception as exc:  # surfaced by the assertion
+                    result["error"] = exc
+
+            thread = threading.Thread(target=client)
+            thread.start()
+            assert entered.wait(timeout=10)
+            monkeypatch.setattr(CompiledQuery, "vector_program",
+                                original)
+            writer = threading.Thread(target=svc.drop_column, args=("b",))
+            writer.start()
+            writer.join(timeout=0.2)
+            assert writer.is_alive()  # blocked behind the batch
+            resume.set()
+            thread.join(timeout=30)
+            writer.join(timeout=10)
+            assert not thread.is_alive() and not writer.is_alive()
+            assert "error" not in result, result.get("error")
+            assert svc.stats()["executor"]["worker_pool"]["jobs"] > 0
+            assert np.array_equal(result["r"].bits,
+                                  table["a"] & (1 - table["b"]))
+            assert "b" not in svc.columns
         finally:
             svc.close()
