@@ -677,19 +677,22 @@ class VectorProgram:
     """Flat register-machine bytecode for the columnar executor.
 
     Lowered once per :class:`CompiledQuery` from its hash-consed AIG:
-    every AIG op node becomes one *step* whose micro-ops each execute as
-    a single ``np.bitwise_*(..., out=)`` kernel over a whole packed
-    ``(n_shards, words)`` uint64 matrix — all shards advance together,
-    with no per-shard Python dispatch and no locks (numpy releases the
-    GIL inside each kernel).
+    every AIG op node becomes one *step* of micro-ops over registers,
+    column references and constants.  Steps carry the AIG node's
+    canonical content key, so :meth:`merge` can run a batch's plans as
+    one program in which a sub-expression shared by several queries is
+    computed once.
 
-    Steps carry the AIG node's canonical content key, so a batch-level
-    ``node_cache`` shares computed sub-expression matrices *across*
-    queries in one batch: a node whose key is already cached binds its
-    register to the cached matrix and skips the kernels entirely.
-    Cached and column matrices are never written — every kernel's
-    destination is a scratch register drawn from the caller's pool —
-    so sharing is always safe.
+    Execution is **cache-blocked**.  The bytecode is lowered once to a
+    static kernel schedule over *slots* (:class:`_Schedule`): columns
+    and outputs are full-width ``(n_shards, words)`` matrices, every
+    other register is a tile-sized scratch slot, recycled at the last
+    use of its value.  A run walks the matrices in word tiles, executes
+    every kernel on the tile (one ``np.bitwise_*`` call each; numpy
+    releases the GIL) and adds the tile's masked popcount to per-shard
+    counters while the tile is still in cache.  Intermediates never
+    take a full-size matrix, each output is written exactly once, and
+    column matrices are only ever read.
 
     The program computes **logical values** directly (complement-flag
     edges of the AIG are folded into fused ``andn``/``nor`` micro-ops
@@ -710,9 +713,6 @@ class VectorProgram:
                  out_regs: Mapping[str, int] | None = None, *,
                  fused: bool = False) -> None:
         #: list of (node_key | None, dst_reg, micro_ops, free_regs)
-        #: — fused programs append a fifth element, the *steal*
-        #: register: a dying operand whose buffer the step may reuse
-        #: as its destination instead of allocating a fresh matrix.
         self.steps = steps
         self.n_regs = n_regs
         #: single-expression result register (compiled queries)
@@ -721,6 +721,7 @@ class VectorProgram:
         self.out_regs = dict(out_regs) if out_regs is not None else None
         #: True for programs produced by :meth:`fuse`
         self.fused = fused
+        self._schedule: _Schedule | None = None
 
     # -- picklable transport ------------------------------------------
     def spec(self) -> tuple:
@@ -746,56 +747,83 @@ class VectorProgram:
                    dict(out_regs) if out_regs is not None else None,
                    fused=fused)
 
+    # -- batch merge ----------------------------------------------------
+    @classmethod
+    def merge(cls, parts) -> "VectorProgram":
+        """One multi-output program that runs several query programs.
+
+        ``parts`` yields ``(name, program, colmap, scope)``: the
+        single-output ``program`` becomes output ``name``, its column
+        references are renamed through ``colmap``, and a step whose
+        node key was already emitted under the same ``scope`` reuses
+        that value instead of recomputing it.  Node keys name columns
+        by their logical names, so the scope must be the namespace
+        that fixes ``colmap`` (the tenant).  Registers of the merged
+        program are single-assignment; it is executed, never fused.
+        """
+        steps: list[tuple] = []
+        shared: dict[tuple, int] = {}
+        out_regs: dict = {}
+        n_regs = 0
+        fused = True
+        for name, program, colmap, scope in parts:
+            if program.out_reg is None:
+                raise QueryError("merge takes single-output programs")
+            fused = fused and program.fused
+            regs: dict[int, int] = {}
+            for step in program.steps:
+                key = step[0]
+                hit = None if key is None else shared.get((scope, key))
+                if hit is not None:
+                    regs[step[1]] = hit
+                    continue
+                micro = []
+                for op in step[2]:
+                    arity = _ARITY[op[0]]
+                    args = tuple(
+                        ("col", colmap.get(spec[1], spec[1]))
+                        if spec[0] == "col" else ("reg", regs[spec[1]])
+                        for spec in op[2:2 + arity])
+                    regs[op[1]] = n_regs
+                    n_regs += 1
+                    micro.append((op[0], regs[op[1]]) + args
+                                 + tuple(op[2 + arity:]))
+                steps.append((key, regs[step[1]], tuple(micro), ()))
+                if key is not None:
+                    shared[(scope, key)] = regs[step[1]]
+            out_regs[name] = regs[program.out_reg]
+        return cls(steps, n_regs, None, out_regs, fused=fused)
+
     # -- execution -----------------------------------------------------
     def run(self, columns: Mapping[str, np.ndarray], *,
-            shape: tuple[int, ...] | None = None,
-            pool=None, node_cache: dict | None = None,
-            executor=None, blocks: int = 1) -> np.ndarray:
+            shape: tuple[int, ...] | None = None) -> np.ndarray:
         """Execute over packed word matrices; returns the result matrix.
 
-        ``columns`` maps names to read-only matrices (all one shape).
-        ``pool`` (optional) provides ``take()``/``give(arr)`` for
-        scratch matrices; ``node_cache`` (optional) is the cross-query
-        sub-expression cache, keyed by AIG content keys.  The returned
-        matrix is owned by the caller unless it was donated to the
-        cache (callers treat results as read-only either way).
-
-        ``executor``/``blocks`` select shard-parallel execution: the
-        matrix rows are split into ``blocks`` contiguous row-blocks and
-        the recorded kernel sequence replays on each block concurrently
-        (numpy releases the GIL inside bitwise kernels).  Bit-identical
-        to serial execution — every kernel is elementwise, so row
-        blocks never interact.
+        ``columns`` maps names to read-only matrices (all one shape);
+        ``shape`` is required only when no column is bound.  The
+        returned matrix is fresh and owned by the caller.
         """
         if self.out_reg is None:
             raise QueryError("multi-output program: use run_outputs()")
-        regs = self._execute(columns, shape=shape, pool=pool,
-                             node_cache=node_cache,
-                             executor=executor, blocks=blocks)
-        return regs[self.out_reg]
+        return self.run_outputs(columns, shape=shape)[None]
 
     def run_outputs(self, columns: Mapping[str, np.ndarray], *,
                     shape: tuple[int, ...] | None = None,
-                    pool=None, node_cache: dict | None = None,
-                    executor=None, blocks: int = 1,
-                    ) -> dict[str, np.ndarray]:
-        """Execute a multi-output program; returns ``{name: matrix}``.
+                    out: Mapping | None = None,
+                    mask: np.ndarray | None = None,
+                    counts: dict | None = None) -> dict:
+        """Execute in one tiled pass; returns ``{name: matrix}``.
 
-        Two output names whose final values coincide in the optimized
-        graph map to the *same* matrix object — callers treat result
-        matrices as read-only.
+        A single-output program's result is keyed ``None``.  ``out``
+        optionally supplies each output's destination matrix (shard
+        workers pass shared-memory views); other outputs get fresh
+        matrices, and two output names whose values coincide in the
+        optimized graph then share one matrix.  With ``mask`` (the
+        store's validity mask), bits outside it are cleared in every
+        output.  A ``counts`` dict receives each output's per-row
+        (= per-shard) popcount, summed tile by tile.
         """
-        if self.out_regs is None:
-            raise QueryError("single-output program: use run()")
-        regs = self._execute(columns, shape=shape, pool=pool,
-                             node_cache=node_cache,
-                             executor=executor, blocks=blocks)
-        return {name: regs[reg] for name, reg in self.out_regs.items()}
-
-    def _execute(self, columns: Mapping[str, np.ndarray], *,
-                 shape: tuple[int, ...] | None = None,
-                 pool=None, node_cache: dict | None = None,
-                 executor=None, blocks: int = 1) -> list:
+        sched = self.schedule()
         if shape is None:
             try:
                 shape = next(iter(columns.values())).shape
@@ -803,202 +831,54 @@ class VectorProgram:
                 raise QueryError(
                     "constant-only program needs an explicit shape"
                 ) from None
-        parallel = executor is not None and blocks > 1 and shape[0] > 1
-        pool_take = pool.take if pool is not None else \
-            (lambda: np.empty(shape, dtype=np.uint64))
-        if parallel:
-            # Bind pass: kernels are recorded, not executed.  Buffers
-            # freed during binding must stay run-local — giving them to
-            # the shared pool mid-bind would let a concurrent run
-            # scribble on a matrix the replay workers still read.
-            kernels: list[tuple] = []
-            local_free: list[np.ndarray] = []
+        try:
+            inputs = [columns[name] for name in sched.cols]
+        except KeyError as exc:
+            raise QueryError(f"unbound column {exc.args[0]!r}") from None
+        out = out or {}
+        dests = []
+        results = {}
+        for names in sched.outs:
+            own = [out[name] for name in names if name in out]
+            dests.append(own or [np.empty(shape, dtype=np.uint64)])
+            for name in names:
+                results[name] = out.get(name, dests[-1][0])
+        tallies = None
+        if counts is not None:
+            tallies = [np.zeros(shape[0], dtype=np.int64)
+                       for _ in sched.outs]
+        sched.execute(shape, inputs, dests, mask, tallies)
+        if counts is not None:
+            for names, tally in zip(sched.outs, tallies):
+                for name in names:
+                    counts[name] = tally
+        return results
 
-            def take() -> np.ndarray:
-                return local_free.pop() if local_free else pool_take()
-
-            def give(arr) -> None:
-                local_free.append(arr)
-
-            def emit(op, out, a=None, b=None) -> None:
-                kernels.append((op, out, a, b))
-        else:
-            take = pool_take
-            give = pool.give if pool is not None else (lambda arr: None)
-
-            def emit(op, out, a=None, b=None) -> None:
-                _SERIAL_KERNELS[op](out, a, b)
-
-        regs: list[np.ndarray | None] = [None] * self.n_regs
-        # poolable[i]: the register's matrix belongs to this run (not a
-        # column, not borrowed from / donated to the node cache).
-        poolable = [False] * self.n_regs
-        donations: list[tuple[str, np.ndarray]] = []
-
-        def resolve(spec) -> np.ndarray:
-            kind, value = spec
-            return columns[value] if kind == "col" else regs[value]
-
-        for step in self.steps:
-            key, dst, micro_ops, free_regs = step[0], step[1], \
-                step[2], step[3]
-            steal = step[4] if len(step) > 4 else None
-            cached = None if (node_cache is None or key is None) \
-                else node_cache.get(key)
-            if cached is not None:
-                regs[dst] = cached
-                poolable[dst] = False
-            else:
-                stole = False
-                if (steal is not None and regs[dst] is None
-                        and regs[steal] is not None
-                        and poolable[steal]):
-                    # The dying operand's buffer becomes the step
-                    # output.  The fuser only annotates steals whose
-                    # kernel order reads the stolen register at or
-                    # before the first write to the destination, where
-                    # elementwise aliasing is exact.
-                    regs[dst] = regs[steal]
-                    poolable[dst] = True
-                    poolable[steal] = False
-                    stole = True
-                for op in micro_ops:
-                    name, reg = op[0], op[1]
-                    if regs[reg] is None:
-                        regs[reg] = take()
-                        poolable[reg] = True
-                    out = regs[reg]
-                    if name == "and":
-                        emit("and", out, resolve(op[2]), resolve(op[3]))
-                    elif name == "andn":  # op[2] & ~op[3]
-                        emit("not", out, resolve(op[3]))
-                        emit("and", out, out, resolve(op[2]))
-                    elif name == "nor":
-                        emit("or", out, resolve(op[2]), resolve(op[3]))
-                        emit("not", out, out)
-                    elif name == "xor":
-                        emit("xor", out, resolve(op[2]), resolve(op[3]))
-                    elif name == "or":
-                        emit("or", out, resolve(op[2]), resolve(op[3]))
-                    elif name == "nand":
-                        emit("and", out, resolve(op[2]), resolve(op[3]))
-                        emit("not", out, out)
-                    elif name == "xnor":
-                        emit("xor", out, resolve(op[2]), resolve(op[3]))
-                        emit("not", out, out)
-                    elif name == "ornot":  # op[2] | ~op[3]
-                        emit("not", out, resolve(op[3]))
-                        emit("or", out, out, resolve(op[2]))
-                    elif name == "andor":  # (op[2] | op[3]) & op[4]
-                        emit("or", out, resolve(op[2]), resolve(op[3]))
-                        emit("and", out, out, resolve(op[4]))
-                    elif name == "noror":  # ~(op[2] | op[3] | op[4])
-                        emit("or", out, resolve(op[2]), resolve(op[3]))
-                        emit("or", out, out, resolve(op[4]))
-                        emit("not", out, out)
-                    elif name == "maj":
-                        a, b, c = (resolve(op[k]) for k in (2, 3, 4))
-                        scratch = take()
-                        emit("and", out, a, b)
-                        emit("and", scratch, a, c)
-                        emit("or", out, out, scratch)
-                        emit("and", scratch, b, c)
-                        emit("or", out, out, scratch)
-                        give(scratch)
-                    elif name == "maj4":
-                        # Fused 4-kernel majority:
-                        #   maj(a,b,c) == ((a|b) & c) | (a & b)
-                        a, b, c = (resolve(op[k]) for k in (2, 3, 4))
-                        csteal = op[5]
-                        if (not stole and csteal is not None
-                                and regs[csteal] is not None
-                                and poolable[csteal]):
-                            # c's dying buffer is the scratch — safe
-                            # because c's last read precedes the first
-                            # write to the scratch.
-                            scratch = regs[csteal]
-                            poolable[csteal] = False
-                            emit("or", out, a, b)
-                            emit("and", out, out, c)
-                            emit("and", scratch, a, b)
-                            emit("or", out, out, scratch)
-                        else:
-                            # Pooled scratch; all reads of a/b happen
-                            # at or before the first write to out, so
-                            # out may alias a stolen a/b.
-                            scratch = take()
-                            emit("and", scratch, a, b)
-                            emit("or", out, a, b)
-                            emit("and", out, out, c)
-                            emit("or", out, out, scratch)
-                        give(scratch)
-                    elif name == "not":
-                        emit("not", out, resolve(op[2]))
-                    elif name == "copy":
-                        emit("copy", out, resolve(op[2]))
-                    elif name == "const":
-                        emit("fill", out,
-                             np.uint64(0xFFFFFFFFFFFFFFFF)
-                             if op[2] else np.uint64(0))
-                    else:  # pragma: no cover - lowering emits OPS only
-                        raise QueryError(f"unknown micro-op {name!r}")
-                if node_cache is not None and key is not None:
-                    poolable[dst] = False  # donated: outlives this run
-                    if parallel:
-                        # Donate only after the kernels actually ran —
-                        # the cache must never expose a matrix whose
-                        # contents don't exist yet.
-                        donations.append((key, regs[dst]))
-                    else:
-                        node_cache[key] = regs[dst]
-            for reg in free_regs:
-                if poolable[reg] and regs[reg] is not None:
-                    give(regs[reg])
-                regs[reg] = None
-                poolable[reg] = False
-
-        if parallel:
-            rows = shape[0]
-            n = max(1, min(int(blocks), rows))
-            bounds = [rows * i // n for i in range(n + 1)]
-            spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:])
-                     if hi > lo]
-            futures = [executor.submit(_replay, kernels, lo, hi)
-                       for lo, hi in spans[1:]]
-            _replay(kernels, *spans[0])
-            for future in futures:
-                future.result()
-            for key, matrix in donations:
-                node_cache[key] = matrix
-            if pool is not None:
-                for arr in local_free:
-                    pool.give(arr)
-        return regs
-
+    def schedule(self) -> "_Schedule":
+        """The static kernel schedule (lowered on first use, cached)."""
+        sched = self._schedule
+        if sched is None:
+            sched = self._schedule = _Schedule(self)
+        return sched
 
     # -- peephole fusion -----------------------------------------------
     def fuse(self) -> "VectorProgram":
-        """Peephole-fused, allocation-recycling copy of this program.
+        """Peephole-fused copy of this program.
 
-        Two rewrites, both bit-exact by construction:
-
-        * **pair fusion** — a single-micro ``and``/``andn``/``nor``/
-          ``xor`` step whose destination is consumed exactly once by
-          the immediately following step (and dies there) merges into
-          one compound micro-op (``nand``/``or``/``xnor``/``ornot``/
-          ``andor``/``noror``), eliminating the intermediate register's
-          matrix and one or more kernels;
-        * **steal annotation** — every step whose kernel order permits
-          it reuses a dying operand's buffer as its destination
-          (``steal``), and 5-kernel ``maj`` becomes the 4-kernel
-          ``maj4`` form.
+        A single-micro ``and``/``andn``/``nor``/``xor`` step whose
+        destination is consumed exactly once by the immediately
+        following step (and dies there) merges into one compound
+        micro-op (``nand``/``or``/``xnor``/``ornot``/``andor``/
+        ``noror``), eliminating the intermediate value and one or more
+        kernels; ``maj`` is renamed ``maj4`` (the 4-kernel majority
+        every program runs).  Bit-exact by construction.
 
         Fusion changes *how* kernels execute, never which charge
         events the plan models — analytic cost accounting is computed
-        from the plan, not the bytecode.  The fused program keeps the
-        consumer's node key, so batch node-cache hits still short the
-        whole fused computation; the producer's intermediate value is
-        simply no longer donated.
+        from the plan, not the bytecode.  The fused step keeps the
+        consumer's node key, so batch merges still share the whole
+        fused computation; the producer's intermediate value is
+        simply no longer shared.
         """
         protected: set[int] = set()
         if self.out_reg is not None:
@@ -1019,135 +899,223 @@ class VectorProgram:
                 fused_steps.append(merged)
                 i += 2
             else:
-                fused_steps.append(_annotate_step(step))
+                fused_steps.append(step[:2] + (tuple(
+                    ("maj4",) + op[1:] if op[0] == "maj" else op
+                    for op in step[2]),) + step[3:4])
                 i += 1
         return VectorProgram(fused_steps, self.n_regs, self.out_reg,
                              self.out_regs, fused=True)
 
 
-# -- primitive kernels (shared by serial and block-replay modes) -------
-def _k_and(out, a, b):
-    np.bitwise_and(a, b, out=out)
+#: operand count of each micro-op (``const`` carries a bit instead)
+_ARITY = {"and": 2, "andn": 2, "nor": 2, "xor": 2, "or": 2, "nand": 2,
+          "xnor": 2, "ornot": 2, "andor": 3, "noror": 3, "maj": 3,
+          "maj4": 3, "not": 1, "copy": 1, "const": 0}
+
+#: L2 bytes the scratch slots of one tile share; a schedule's tile
+#: width is this budget divided by its scratch-slot count
+_TILE_BUDGET = 1 << 20
+#: tile widths are whole 64-byte cache lines
+_TILE_ALIGN = 8
+
+_KERNELS = {"and": np.bitwise_and, "or": np.bitwise_or,
+            "xor": np.bitwise_xor, "not": np.bitwise_not,
+            "copy": np.positive}
+_FILL = (np.uint64(0), np.uint64(0xFFFFFFFFFFFFFFFF))
 
 
-def _k_or(out, a, b):
-    np.bitwise_or(a, b, out=out)
+def _micro_kernels(name: str, out: int, args, temp: int) -> list[tuple]:
+    """Kernel sequence ``(kernel, out, a, b)`` of one micro-op over
+    values; ``temp`` is a spare value for the majority's scratch."""
+    if name in ("and", "or", "xor"):
+        return [(name, out, args[0], args[1])]
+    if name in ("andn", "ornot"):  # args[0] op ~args[1]
+        return [("not", out, args[1], None),
+                ("and" if name == "andn" else "or", out, out, args[0])]
+    if name in ("nor", "nand", "xnor"):
+        return [(_POSITIVE[name], out, args[0], args[1]),
+                ("not", out, out, None)]
+    if name == "andor":  # (a | b) & c
+        return [("or", out, args[0], args[1]),
+                ("and", out, out, args[2])]
+    if name == "noror":  # ~(a | b | c)
+        return [("or", out, args[0], args[1]), ("or", out, out, args[2]),
+                ("not", out, out, None)]
+    if name in ("maj", "maj4"):  # ((a | b) & c) | (a & b)
+        a, b, c = args
+        return [("or", out, a, b), ("and", out, out, c),
+                ("and", temp, a, b), ("or", out, out, temp)]
+    if name in ("not", "copy"):
+        return [(name, out, args[0], None)]
+    if name == "const":
+        return [(f"fill{args[0]}", out, None, None)]
+    raise QueryError(f"unknown micro-op {name!r}")  # pragma: no cover
 
 
-def _k_xor(out, a, b):
-    np.bitwise_xor(a, b, out=out)
+_POSITIVE = {"nor": "or", "nand": "and", "xnor": "xor"}
 
 
-def _k_not(out, a, _b):
-    np.bitwise_not(a, out=out)
+class _Schedule:
+    """A program's static kernel schedule over slots.
 
-
-def _k_copy(out, a, _b):
-    np.copyto(out, a)
-
-
-def _k_fill(out, a, _b):
-    out.fill(a)
-
-
-_SERIAL_KERNELS = {"and": _k_and, "or": _k_or, "xor": _k_xor,
-                   "not": _k_not, "copy": _k_copy, "fill": _k_fill}
-
-
-def _replay(kernels: list[tuple], lo: int, hi: int) -> None:
-    """Re-run a recorded kernel sequence on row-block ``[lo:hi)``.
-
-    Every kernel is elementwise over matrix rows, so disjoint blocks
-    replaying the *whole* sequence concurrently never interact — even
-    through buffers that are reused across steps, because each block's
-    kernel order is the program order.
+    Slots ``[0, len(cols))`` are the bound columns, the next
+    ``len(outs)`` are the outputs (full width), and the rest are
+    tile-sized scratch slots.  Registers are renamed to
+    single-assignment values; a value's slot is taken at its first
+    write and released after its last access, and a kernel may write
+    into the slot of an operand it reads for the last time — every
+    kernel is elementwise, so that in-place aliasing is exact.
     """
-    for op, out, a, b in kernels:
-        o = out[lo:hi]
-        if op == "and":
-            np.bitwise_and(a[lo:hi], b[lo:hi], out=o)
-        elif op == "or":
-            np.bitwise_or(a[lo:hi], b[lo:hi], out=o)
-        elif op == "xor":
-            np.bitwise_xor(a[lo:hi], b[lo:hi], out=o)
-        elif op == "not":
-            np.bitwise_not(a[lo:hi], out=o)
-        elif op == "copy":
-            np.copyto(o, a[lo:hi])
-        else:  # fill
-            o.fill(a)
+
+    __slots__ = ("cols", "outs", "kernels", "n_scratch", "tile_words")
+
+    def __init__(self, program: VectorProgram) -> None:
+        # Pass 1: kernels over values (>= 0) and columns (~index < 0).
+        cols: dict[str, int] = {}
+        cur: dict[int, int] = {}
+        ops: list[tuple] = []
+        n_values = 0
+        for step in program.steps:
+            for op in step[2]:
+                name = op[0]
+                arity = _ARITY[name]
+                args = []
+                for spec in op[2:2 + arity]:
+                    if spec[0] == "col":
+                        index = cols.get(spec[1])
+                        if index is None:
+                            index = cols[spec[1]] = len(cols)
+                        args.append(~index)
+                    else:
+                        args.append(cur[spec[1]])
+                value = cur[op[1]] = n_values
+                n_values += 2 if name in ("maj", "maj4") else 1
+                ops.extend(_micro_kernels(name, value,
+                                          args if arity else op[2:3],
+                                          value + 1))
+        named = program.out_regs if program.out_regs is not None \
+            else {None: program.out_reg}
+        out_of: dict[int, int] = {}
+        outs: list[list] = []
+        for name, reg in named.items():
+            value = cur[reg]
+            if value not in out_of:
+                out_of[value] = len(outs)
+                outs.append([])
+            outs[out_of[value]].append(name)
+        last = [-1] * n_values
+        for index, (_, dst, a, b) in enumerate(ops):
+            last[dst] = index
+            if a is not None and a >= 0:
+                last[a] = index
+            if b is not None and b >= 0:
+                last[b] = index
+
+        # Pass 2: linear-scan slot assignment.
+        n_cols = len(cols)
+        base = n_cols + len(outs)
+        slot = [-1] * n_values
+        free: list[int] = []
+        n_scratch = 0
+        kernels = []
+        for index, (kind, dst, a, b) in enumerate(ops):
+            reads = [v for v in (a, b) if v is not None and v >= 0]
+            sa = -1 if a is None else (~a if a < 0 else slot[a])
+            sb = -1 if b is None else (~b if b < 0 else slot[b])
+            if slot[dst] < 0:
+                if dst in out_of:
+                    slot[dst] = n_cols + out_of[dst]
+                else:
+                    for value in reads:  # last reads donate their slot
+                        if last[value] == index and slot[value] >= base:
+                            free.append(slot[value])
+                            last[value] = -1
+                    if free:
+                        slot[dst] = free.pop()
+                    else:
+                        slot[dst] = base + n_scratch
+                        n_scratch += 1
+            if kind.startswith("fill"):
+                kernels.append((None, slot[dst], int(kind[4:]), -1))
+            else:
+                kernels.append((_KERNELS[kind], slot[dst], sa, sb))
+            for value in reads + [dst]:
+                if last[value] == index and slot[value] >= base:
+                    free.append(slot[value])
+                    last[value] = -1
+        self.cols = list(cols)
+        self.outs = outs
+        self.kernels = kernels
+        self.n_scratch = n_scratch
+        budget = _TILE_BUDGET // (8 * max(1, n_scratch))
+        self.tile_words = max(_TILE_ALIGN,
+                              budget // _TILE_ALIGN * _TILE_ALIGN)
+
+    def tiles(self, rows: int, words: int) -> list[tuple]:
+        """``(r0, r1, w0, w1)`` tiles covering a ``(rows, words)``
+        matrix.  A tile is either whole rows or part of one row, so
+        each tile's popcount belongs to whole shards."""
+        width = self.tile_words
+        if words <= width:
+            step = max(1, width // max(1, words))
+            return [(r, min(r + step, rows), 0, words)
+                    for r in range(0, rows, step)]
+        per_piece = -(-words // -(-words // width))
+        chunk = -(-per_piece // _TILE_ALIGN) * _TILE_ALIGN
+        return [(r, r + 1, w, min(w + chunk, words))
+                for r in range(rows) for w in range(0, words, chunk)]
+
+    def execute(self, shape, inputs: list, dests: list,
+                mask: np.ndarray | None, tallies: list | None) -> None:
+        """Run every kernel tile by tile (see :class:`_Schedule`)."""
+        rows, words = shape
+        tiles = self.tiles(rows, words)
+        size = max((r1 - r0) * (w1 - w0) for r0, r1, w0, w1 in tiles)
+        scratch = np.empty(self.n_scratch * size, dtype=np.uint64)
+        bytes_ = np.empty(size, dtype=np.uint8) \
+            if tallies is not None else None
+        by_shape: dict[tuple, tuple] = {}
+        kernels = self.kernels
+        for r0, r1, w0, w1 in tiles:
+            tile = (r1 - r0, w1 - w0)
+            cached = by_shape.get(tile)
+            if cached is None:
+                n = tile[0] * tile[1]
+                cached = by_shape[tile] = (
+                    [scratch[k * size:k * size + n].reshape(tile)
+                     for k in range(self.n_scratch)],
+                    None if bytes_ is None else bytes_[:n].reshape(tile))
+            heads = [group[0][r0:r1, w0:w1] for group in dests]
+            v = [m[r0:r1, w0:w1] for m in inputs] + heads + cached[0]
+            for f, o, a, b in kernels:
+                if b >= 0:
+                    f(v[a], v[b], v[o])
+                elif f is not None:
+                    f(v[a], v[o])
+                else:
+                    v[o].fill(_FILL[a])
+            valid = None if mask is None else mask[r0:r1, w0:w1]
+            for k, head in enumerate(heads):
+                if valid is not None:
+                    np.bitwise_and(head, valid, head)
+                for extra in dests[k][1:]:
+                    np.positive(head, extra[r0:r1, w0:w1])
+                if tallies is not None:
+                    np.bitwise_count(head, out=cached[1])
+                    tallies[k][r0:r1] += cached[1].sum(axis=1,
+                                                       dtype=np.int64)
 
 
 # -- fusion helpers ----------------------------------------------------
-def _steal_positions(op: tuple) -> tuple[int, ...]:
-    """Operand positions of ``op`` whose register may donate its buffer
-    to the destination: the kernel order reads them no later than the
-    first write to the destination, so in-place aliasing is exact."""
-    name = op[0]
-    if name in ("and", "xor", "nor", "or", "nand", "xnor"):
-        return (2, 3)
-    if name in ("andn", "ornot"):
-        return (3,)  # the negated operand is written first
-    if name in ("andor", "noror"):
-        return (2, 3)  # never the second-kernel operand
-    if name in ("maj4",):
-        return (2, 3)  # never c: it is read after out's first write
-    if name in ("not", "copy"):
-        return (2,)
-    return ()
-
-
-def _pick_steal(op: tuple, free: set[int],
-                written: set[int]) -> int | None:
-    """A dying register (not written earlier in this step) whose buffer
-    the destination may take over, or None."""
-    for pos in _steal_positions(op):
-        spec = op[pos]
-        if (spec[0] == "reg" and spec[1] in free
-                and spec[1] not in written):
-            return spec[1]
-    return None
-
-
-def _annotate_step(step: tuple) -> tuple:
-    """Steal-annotate one unmerged step; rewrites ``maj`` to ``maj4``."""
-    key, dst, micro_ops, free_regs = step[0], step[1], step[2], step[3]
-    free = set(free_regs)
-    written: set[int] = set()
-    out_micro: list[tuple] = []
-    steal = None
-    for op in micro_ops:
-        if op[0] == "maj":
-            steal = _pick_steal(("maj4",) + op[1:], free, written)
-            csteal = None
-            if steal is None and op[4][0] == "reg" \
-                    and op[4][1] in free:
-                # No a/b steal available: let the scratch matrix take
-                # over c's dying buffer instead.
-                csteal = op[4][1]
-            out_micro.append(("maj4",) + op[1:] + (csteal,))
-        else:
-            if len(micro_ops) == 1:
-                steal = _pick_steal(op, free, written)
-            out_micro.append(op)
-        written.add(op[1])
-    return (key, dst, tuple(out_micro), free_regs, steal)
-
-
 def _fuse_pair(producer: tuple, consumer: tuple) -> tuple | None:
     """Merge ``producer`` (single and/andn/nor/xor micro) into
     ``consumer`` when the produced value dies there; returns the merged
-    5-tuple step or None when no rewrite applies."""
+    step or None when no rewrite applies."""
     pkey, pdst, pmicro, pfree = producer[0], producer[1], \
         producer[2], producer[3]
     ckey, cdst, cmicro, cfree = consumer[0], consumer[1], \
         consumer[2], consumer[3]
     if len(cmicro) != 1 or cdst == pdst:
-        return None
-    if cdst in pfree:
-        # Register recycling: cdst's buffer would alias a producer
-        # operand that dies here, and the fused kernel order could
-        # write it before that operand's last read.
         return None
     if pdst not in cfree:
         return None  # producer's value outlives the consumer
@@ -1175,9 +1143,7 @@ def _fuse_pair(producer: tuple, consumer: tuple) -> tuple | None:
             new = ("noror", cdst, pargs[0], pargs[1], cop[3])
     if new is None:
         return None
-    free = set(pfree) | set(cfree)
-    steal = _pick_steal(new, free, set())
-    return (ckey, cdst, (new,), tuple(sorted(free)), steal)
+    return (ckey, cdst, (new,), tuple(sorted(set(pfree) | set(cfree))))
 
 
 def _lower_vector(plan: "CompiledQuery") -> VectorProgram:
@@ -1265,8 +1231,8 @@ def _lower_vector(plan: "CompiledQuery") -> VectorProgram:
         steps.append((aig.ref_key(root), out,
                       ((op, out, operand(root_idx)),), ()))
     elif root & 1:
-        # Never invert in place: the node's matrix may be shared via
-        # the batch node cache.
+        # A fresh register: the node's value may be shared with the
+        # other plans of a merged batch.
         out = new_reg()
         steps.append((aig.ref_key(root), out,
                       (("not", out, ("reg", node_reg[root_idx])),),

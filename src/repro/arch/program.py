@@ -36,11 +36,11 @@ Compilation (:func:`compile_program`) produces a
   identical sub-expressions are shared *across* statements), then
   :meth:`CompiledProgram.vector_program` emits a single
   multi-output :class:`~repro.arch.expr.VectorProgram` whose registers
-  are recycled at last use (the live-set peak bounds scratch
-  matrices, not the statement count).  Statements that do not reach an
+  are recycled at last use (the live-set peak bounds scratch slots,
+  not the statement count).  Statements that do not reach an
   output are never executed on this path — attribution still models
-  the full reference replay, mirroring how the batch node cache is a
-  host-simulation optimization only.
+  the full reference replay, mirroring how a batch merge's shared
+  sub-expressions are a host-simulation optimization only.
 """
 
 from __future__ import annotations

@@ -64,3 +64,36 @@ class ThermalError(ReproError):
 
 class ExperimentError(ReproError):
     """Raised when an experiment driver cannot produce its artefact."""
+
+
+class WorkerError(QueryError):
+    """Raised when a shard worker process dies, hangs or fails a job.
+
+    Attributes
+    ----------
+    worker:
+        Index of the worker (its fixed block of shard rows).
+    exitcode:
+        The process exit status, negative when a signal ended it
+        (``None`` while it is still running, e.g. after a timeout).
+    signal:
+        The number of the signal that ended the process, or ``None``.
+    last_error:
+        The last exception text the worker reported, or ``None``.
+    """
+
+    def __init__(self, message: str, *, worker: int,
+                 exitcode: int | None = None,
+                 last_error: str | None = None) -> None:
+        super().__init__(message)
+        self.worker = worker
+        self.exitcode = exitcode
+        self.signal = -exitcode if exitcode is not None and exitcode < 0 \
+            else None
+        self.last_error = last_error
+
+
+class WorkerSpawnError(WorkerError):
+    """Raised when a shard worker dies before it starts serving — for
+    example while the spawned child re-imports a ``__main__`` script
+    that lacks an ``if __name__ == "__main__":`` guard."""

@@ -46,7 +46,7 @@ failing batches) for chaos testing, and the scheduler degrades
 gracefully under per-request timeouts.
 """
 
-from repro.service.columnstore import ColumnStore, MatrixPool
+from repro.service.columnstore import ColumnStore
 from repro.service.durability import (
     DurabilityManager,
     FaultInjector,
@@ -82,7 +82,6 @@ __all__ = [
     "DurabilityManager",
     "FaultInjector",
     "InjectedFault",
-    "MatrixPool",
     "MutationResult",
     "ProgramResult",
     "QueryResult",

@@ -16,17 +16,17 @@ write model: :meth:`ColumnStore.write` packs only the words a slice
 covers and stores the ones that differ **in place**, so a write costs
 O(words covered), not O(table width); :meth:`ColumnStore.read` unpacks
 only the words a page covers.  Programs only ever *read* column
-matrices (all writes target scratch registers from the
-:class:`MatrixPool`), and the owning service serializes
-``write``/``resize`` against running queries with its table
-readers/writer lock.
+matrices (their kernels write tile-sized scratch slots and the
+outputs), and the owning service serializes ``write``/``resize``
+against running queries with its table readers/writer lock.
 
 Shard geometry is word-aligned and identical to the reference backend's
 (:func:`shard_spans`), so results sliced per shard are bit-for-bit the
 same on both paths.  Rows beyond a shard's valid span are zero in
-column matrices and masked out of reductions (:meth:`ColumnStore.
-popcounts` applies the precomputed validity mask), so padding garbage
-produced by NOT-like kernels never leaks into counts or readouts.
+column matrices and masked out of reductions (executors apply the
+precomputed validity mask, :attr:`ColumnStore.mask`), so padding
+garbage produced by NOT-like kernels never leaks into counts or
+readouts.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import os
-import threading
 import weakref
 from multiprocessing import shared_memory
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from repro.errors import QueryError
 
-__all__ = ["ColumnStore", "MatrixPool", "PackedBits", "SegmentArena",
+__all__ = ["ColumnStore", "PackedBits", "SegmentArena",
            "shard_spans", "popcount_words", "dirty_word_indices"]
 
 WORD_BITS = 64
@@ -166,73 +165,6 @@ class SegmentArena:
         self._finalizer()
 
 
-class MatrixPool:
-    """Thread-safe pool of scratch ``(n_shards, words)`` uint64 matrices.
-
-    The vectorized executor churns through a handful of intermediate
-    matrices per query; pooling them keeps steady-state traffic
-    allocation-free.  The pool is capped (like the engines' payload
-    scratch pool) so a long-lived service cannot grow it without bound.
-    """
-
-    def __init__(self, shape: tuple[int, int], *, cap: int = 16) -> None:
-        self.shape = tuple(shape)
-        self.cap = int(cap)
-        self._free: list[np.ndarray] = []
-        self._lock = threading.Lock()
-        #: take() served from the free list
-        self.hits = 0
-        #: take() that had to allocate a fresh matrix
-        self.misses = 0
-        #: give() dropped because the pool was at capacity
-        self.evictions = 0
-        #: give() accepted back into the free list
-        self.returns = 0
-
-    def take(self) -> np.ndarray:
-        with self._lock:
-            if self._free:
-                self.hits += 1
-                return self._free.pop()
-            self.misses += 1
-        return np.empty(self.shape, dtype=np.uint64)
-
-    def give(self, matrix: np.ndarray | None) -> None:
-        if matrix is None or matrix.shape != self.shape:
-            return
-        with self._lock:
-            if len(self._free) < self.cap:
-                self._free.append(matrix)
-                self.returns += 1
-            else:
-                self.evictions += 1
-
-    def stats(self) -> dict[str, int]:
-        """Counter snapshot (hit/miss/evict/return plus free size)."""
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "evictions": self.evictions, "returns": self.returns,
-                    "free": len(self._free)}
-
-    def give_unique(self, matrices) -> None:
-        """Return matrices, de-duplicated by identity.
-
-        A multi-output program may bind several output names to one
-        matrix (their final values coincide in the optimized graph);
-        donating it twice would hand the same buffer to two takers.
-        """
-        seen: list[np.ndarray] = []
-        for matrix in matrices:
-            if matrix is not None and \
-                    not any(matrix is other for other in seen):
-                seen.append(matrix)
-                self.give(matrix)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._free)
-
-
 class PackedBits:
     """Deferred readout of a result matrix (8x smaller than flat bits).
 
@@ -339,6 +271,11 @@ class ColumnStore:
         if self._arena is None:
             return None, np.zeros(self.shape, dtype=np.uint64)
         return self._arena.alloc()
+
+    @property
+    def mask(self) -> np.ndarray | None:
+        """Validity mask matrix (None when every bit is valid)."""
+        return None if self._full else self._mask
 
     @property
     def mask_segment(self) -> str | None:

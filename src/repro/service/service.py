@@ -16,18 +16,20 @@ Two execution backends answer queries:
   ``(n_shards, words_per_shard)`` uint64 matrices: on the heap with
   one worker, in shared memory with ``workers > 1``.  Each compiled
   plan lowers once to register-machine bytecode
-  (:meth:`~repro.arch.expr.CompiledQuery.vector_program`), and
-  :meth:`BitwiseService._run_batch` runs every plan of a batch under
-  the table read lock — in-process as whole-matrix ``np.bitwise_*``
-  kernels, or scattered to shard-worker processes
-  (:mod:`repro.service.shard_workers`) when the work clears a cost
-  floor.  Energy/cycle/primitive accounting comes from the
+  (:meth:`~repro.arch.expr.CompiledQuery.vector_program`), which runs
+  as one cache-blocked pass of ``np.bitwise_*`` kernels with the
+  popcounts fused per tile.  :meth:`BitwiseService._run_batch` runs a
+  batch under the table read lock: plans whose work clears a cost
+  floor scatter to shard-worker processes
+  (:mod:`repro.service.shard_workers`), and the rest merge into one
+  multi-output program (:meth:`~repro.arch.expr.VectorProgram.merge`)
+  that reads each column tile once for the whole batch and computes a
+  sub-expression shared within a tenant once (a host-simulation
+  optimization only: attributed costs still model each query's full
+  plan).  Energy/cycle/primitive accounting comes from the
   closed-form plan coster (:func:`~repro.arch.primitives.plan_stats`),
-  which is Stats-exact against an engine replay.  Shared
-  sub-expressions are deduplicated *across* the queries of a batch
-  through a per-tenant node cache (a host-simulation optimization
-  only: attributed costs still model each query's full plan).
-  Programs take the same path.
+  which is Stats-exact against an engine replay.  Programs take the
+  same path.
 
 * ``backend="reference"`` — the engine-replay path: one
   :class:`~repro.arch.engine.BulkEngine` per shard, every (query,
@@ -84,6 +86,7 @@ from repro.arch.expr import (
     CompiledQuery,
     Expr,
     Match,
+    VectorProgram,
     _as_expr,
     canonical_key,
     compile_expr,
@@ -97,7 +100,6 @@ from repro.arch.writeback import ScrubAccountant
 from repro.errors import QueryError
 from repro.service.columnstore import (
     ColumnStore,
-    MatrixPool,
     PackedBits,
     dirty_word_indices,
     shard_spans,
@@ -398,9 +400,6 @@ class BitwiseService:
             # one flag per column drives the state-aware coster.
             self._col_flags: dict[str, bool] = {}
             self._rows_used = 0
-            shape = self._store.shape if self._store is not None else \
-                (self.n_shards, 1)
-            self._matrix_pool = MatrixPool(shape)
             self._inverting = self._spec.technology == "feram-2tnc"
         #: run peephole-fused bytecode on the vector backend
         self.fuse = bool(fuse)
@@ -1410,38 +1409,72 @@ class BitwiseService:
 
         The whole batch holds the table read lock, so in-place writes
         wait until it is done and every plan sees one table version.
-        That also keeps the per-batch ``node_cache`` sound: it shares
-        identical sub-expressions across the batch's queries (attributed
-        costs still model each plan standalone, matching the reference
-        replay exactly).  Node caches are scoped per tenant — the same
-        structural sub-expression names different data in different
-        namespaces.
+        Plans below the process-tier floor merge into one multi-output
+        program, so the batch makes a single tiled pass: each column
+        tile is read once for all of them, and a sub-expression two
+        queries of one tenant share is computed once (merging is
+        scoped per tenant — the same structural sub-expression names
+        different data in different namespaces).  Attributed costs
+        still model each plan standalone, matching the reference
+        replay exactly.
         """
         if not pending:  # all cache hits: nothing to read
             return {}
-        node_caches: dict[str | None, dict[str, np.ndarray]] = {}
         outputs: dict[str, tuple] = {}
         with self._table_rw.read():
+            ran: dict[str, tuple] = {}
+            if self.functional:
+                ran = self._run_batch_vector(pending)
             for ckey, item in pending.items():
-                plan = item["plan"]
                 start = time.perf_counter()
-                payload = count = None
-                if self.functional:
-                    (count, matrix), = self._run_vector(
-                        plan, item["colmap"],
-                        node_caches.setdefault(item["tenant"], {}),
-                    ).values()
-                    # The matrix stays owned by the result; .bits
-                    # unpacks on first access (counting clients never
-                    # pay it).
-                    payload = PackedBits(self._store, matrix)
-                delta = self._charge_vector(plan, item["colmap"])
+                count, payload, run_s = ran.get(ckey, (None, None, 0.0))
+                delta = self._charge_vector(item["plan"], item["colmap"])
                 outputs[ckey] = (payload, count, delta,
-                                 time.perf_counter() - start)
+                                 run_s + time.perf_counter() - start)
         return outputs
 
-    def _run_vector(self, plan, colmap: dict[str, str],
-                    node_cache: dict | None = None) -> dict:
+    def _run_batch_vector(self, pending: dict[str, dict]) -> dict:
+        """``{ckey: (count, PackedBits, run seconds)}`` for a batch.
+
+        Merged plans share the pass's wall time equally."""
+        store = self._store
+        ran: dict[str, tuple] = {}
+        merged = []
+        for ckey, item in pending.items():
+            plan = item["plan"]
+            if self._use_process_pool(plan.vector_program(fused=self.fuse)):
+                start = time.perf_counter()
+                (count, matrix), = self._run_vector(
+                    plan, item["colmap"]).values()
+                ran[ckey] = (count, PackedBits(store, matrix),
+                             time.perf_counter() - start)
+            else:
+                merged.append((ckey, item))
+        if not merged:
+            return ran
+        start = time.perf_counter()
+        if len(merged) == 1:  # reuse the plan's cached schedule
+            ckey, item = merged[0]
+            (count, matrix), = self._run_vector(
+                item["plan"], item["colmap"]).values()
+            results = {ckey: (count, matrix)}
+        else:
+            program = VectorProgram.merge(
+                (ckey, item["plan"].vector_program(fused=self.fuse),
+                 item["colmap"], item["tenant"])
+                for ckey, item in merged)
+            columns = {physical: store.matrix(physical)
+                       for _, item in merged
+                       for physical in item["colmap"].values()}
+            results = self._run_in_process(program, columns)
+        share = (time.perf_counter() - start) / len(merged)
+        for ckey, (count, matrix) in results.items():
+            # The matrix stays owned by the result; .bits unpacks on
+            # first access (counting clients never pay it).
+            ran[ckey] = (count, PackedBits(store, matrix), share)
+        return ran
+
+    def _run_vector(self, plan, colmap: dict[str, str]) -> dict:
         """Run a plan's bytecode over the store (table read lock held).
 
         Returns ``{output: (count, matrix)}`` — the key is ``None`` for
@@ -1453,8 +1486,6 @@ class BitwiseService:
         meanwhile still reads its old pages.
         """
         store = self._store
-        columns = {logical: store.matrix(physical)
-                   for logical, physical in colmap.items()}
         program = plan.vector_program(fused=self.fuse)
         if self._use_process_pool(program):
             plan_key, spec = vector_payload(plan, fused=self.fuse)
@@ -1466,18 +1497,21 @@ class BitwiseService:
                  for logical, physical in colmap.items()},
                 store.mask_segment, out_keys,
                 gens={physical: store.generations[physical]
-                      for physical in colmap.values()},
-                take_matrix=self._matrix_pool.take)
+                      for physical in colmap.values()})
             return {key: (int(counts.sum()), matrix)
                     for key, (counts, matrix) in scattered.items()}
-        if program.out_regs is None:
-            matrices = {None: program.run(
-                columns, shape=store.shape, pool=self._matrix_pool,
-                node_cache=node_cache)}
-        else:
-            matrices = program.run_outputs(
-                columns, shape=store.shape, pool=self._matrix_pool)
-        return {key: (int(store.popcounts(matrix).sum()), matrix)
+        return self._run_in_process(
+            program, {logical: store.matrix(physical)
+                      for logical, physical in colmap.items()})
+
+    def _run_in_process(self, program: VectorProgram,
+                        columns: dict) -> dict:
+        """One tiled in-process pass: ``{output: (count, matrix)}``."""
+        counts: dict = {}
+        matrices = program.run_outputs(
+            columns, shape=self._store.shape, mask=self._store.mask,
+            counts=counts)
+        return {key: (int(counts[key].sum()), matrix)
                 for key, matrix in matrices.items()}
 
     def _charge_vector(self, plan: CompiledQuery,
@@ -1847,8 +1881,6 @@ class BitwiseService:
                 "mode": "process" if self.workers > 1
                 and self._store is not None else "serial",
                 "parallel_min_work": self._parallel_min_work,
-                "matrix_pool": self._matrix_pool.stats()
-                if self.backend == "vector" else None,
                 "worker_pool": self._worker_pool.stats()
                 if self._worker_pool is not None else None,
             },

@@ -1,16 +1,14 @@
-"""Peephole-fused bytecode: exactness, structure, allocation wins,
-and shard-parallel execution.
+"""Peephole-fused bytecode: exactness, structure, kernel wins, and
+process-tier execution.
 
 The fuser may only change *how* a plan executes — never its bits,
 popcounts, or analytic Stats.  These tests pin the edge cases the
 pass special-cases (single-step programs, every-step-an-output,
 constant-only plans, self-cancelling operands) on both technologies,
-and the tentpole wins themselves: fused plans take strictly fewer
-steps and allocate strictly fewer matrices on real workloads, and
-row-block parallel execution is bit- and Stats-identical to serial.
+and the wins themselves: fused plans take strictly fewer steps and
+run strictly fewer kernels on real workloads, and the shard-worker
+tier is bit- and Stats-identical to the reference replay.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ import pytest
 from repro.arch.expr import compile_expr, parse
 from repro.arch.program import Program, compile_program
 from repro.service import BitwiseService
-from repro.service.columnstore import ColumnStore, MatrixPool
+from repro.service.columnstore import ColumnStore
 from tests.arch.test_vector_program import N_BITS, QUERIES, numpy_eval
 from tests.support.differential import assert_program_equivalent
 
@@ -70,14 +68,16 @@ class TestFusedExactness:
         assert np.array_equal(store.unpack(matrix), expected), query
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_fused_with_pool_matches(self, store, table, query):
-        pool = MatrixPool(store.shape)
-        plan = compile_expr(query)
-        program = plan.vector_program(fused=True)
-        matrix = program.run(store.snapshot(), shape=store.shape,
-                             pool=pool)
+    def test_fused_schedule_reruns_exactly(self, store, table, query):
+        """The cached schedule is reused run after run, and every run
+        returns a fresh output matrix."""
+        program = compile_expr(query).vector_program(fused=True)
+        first = program.run(store.snapshot(), shape=store.shape)
+        second = program.run(store.snapshot(), shape=store.shape)
+        assert first is not second
         expected = numpy_eval(parse(query), table)
-        assert np.array_equal(store.unpack(matrix), expected), query
+        for matrix in (first, second):
+            assert np.array_equal(store.unpack(matrix), expected), query
 
     def test_columns_never_written(self, store, table):
         before = {name: store.matrix(name).copy() for name in table}
@@ -154,49 +154,32 @@ class TestFusedStructure:
         assert results[True] == results[False]
 
 
-class TestFusedAllocations:
-    def test_fused_allocates_strictly_fewer_matrices(self):
-        """Satellite contract: on the CRC8 program the fused executor
-        must take strictly fewer pool misses (fresh allocations) than
-        the unfused one."""
+class TestFusedKernels:
+    @pytest.mark.parametrize("workload", ["crc8", "bnn"])
+    def test_fused_never_runs_more_kernels(self, workload):
+        """On real programs the fused schedule runs no more kernels and
+        needs no more scratch slots than the unfused one."""
+        from repro.workloads.bnn import BnnInference
         from repro.workloads.crc8 import Crc8
-        from repro.workloads.programs import generate_inputs
 
-        workload_program = Crc8(1 << 10).as_program(seed=3)
-        inputs = generate_inputs(workload_program, seed=3)
-        misses = {}
-        for fuse in (False, True):
-            svc = BitwiseService(
-                "feram-2tnc", n_bits=workload_program.n_lanes,
-                n_shards=2, backend="vector", fuse=fuse)
-            try:
-                for name, bits in inputs.items():
-                    svc.create_column(name, bits)
-                svc.run_program(workload_program.program)
-                pool = svc.stats()["executor"]["matrix_pool"]
-                misses[fuse] = pool["misses"]
-            finally:
-                svc.close()
-        assert misses[True] < misses[False], misses
+        cls = {"crc8": Crc8, "bnn": BnnInference}[workload]
+        cprog = compile_program(cls(1 << 10).as_program(seed=3).program)
+        fused = cprog.vector_program(fused=True).schedule()
+        unfused = cprog.vector_program().schedule()
+        assert len(fused.kernels) <= len(unfused.kernels)
+        assert fused.n_scratch <= unfused.n_scratch
+
+    @pytest.mark.parametrize("query", ["a & (b | c)", "~(a | b) & ~c",
+                                       "~(a & ~b)"])
+    def test_fusion_removes_kernels(self, query):
+        """``andor``/``noror``/``ornot`` fusions drop kernels."""
+        plan = compile_expr(query)
+        fused = plan.vector_program(fused=True).schedule()
+        assert len(fused.kernels) < \
+            len(plan.vector_program().schedule().kernels), query
 
 
 class TestParallelExecution:
-    @pytest.mark.parametrize("fused", [False, True])
-    @pytest.mark.parametrize("blocks", [2, 3, 8])
-    def test_row_blocks_match_serial(self, store, table, fused,
-                                     blocks):
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            for query in QUERIES:
-                plan = compile_expr(query)
-                program = plan.vector_program(fused=fused)
-                serial = program.run(store.snapshot(),
-                                     shape=store.shape)
-                parallel = program.run(store.snapshot(),
-                                       shape=store.shape,
-                                       executor=executor,
-                                       blocks=blocks)
-                assert np.array_equal(serial, parallel), query
-
     @pytest.mark.parametrize("technology", ["feram-2tnc", "dram"])
     def test_parallel_service_backend_equivalent(self, technology,
                                                  table):
@@ -212,19 +195,3 @@ class TestParallelExecution:
                                   technology=technology, n_shards=3,
                                   fused=True, workers=2,
                                   parallel_min_work=0)
-
-    def test_parallel_pool_reuse_stays_exact(self, store, table):
-        """Pooled buffers + parallel replay: run the whole corpus
-        twice through one pool so recycled matrices cross queries."""
-        pool = MatrixPool(store.shape)
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            for _ in range(2):
-                for query in QUERIES:
-                    plan = compile_expr(query)
-                    program = plan.vector_program(fused=True)
-                    matrix = program.run(store.snapshot(),
-                                         shape=store.shape, pool=pool,
-                                         executor=executor, blocks=3)
-                    expected = numpy_eval(parse(query), table)
-                    assert np.array_equal(store.unpack(matrix),
-                                          expected), query

@@ -1,11 +1,15 @@
-"""Register-machine bytecode: bit-exactness against numpy references."""
+"""Register-machine bytecode: bit-exactness against numpy references,
+the tiled executor's memory bound, and batch merges."""
 
 import numpy as np
 import pytest
 
-from repro.arch.expr import compile_expr, parse
+import tracemalloc
+
+from repro.arch.expr import VectorProgram, compile_expr, parse
 from repro.errors import QueryError
-from repro.service.columnstore import ColumnStore, MatrixPool
+from repro.service import BitwiseService
+from repro.service.columnstore import ColumnStore
 
 N_BITS = 777  # non-multiple of 64: exercises masking/tails
 QUERIES = [
@@ -122,51 +126,129 @@ class TestProgramExactness:
             assert np.array_equal(store.matrix(name), before[name]), name
 
 
-class TestNodeCache:
-    def test_shared_subexpression_reused(self, store, table):
-        cache = {}
-        plan1 = compile_expr("(a & b) | c")
-        plan2 = compile_expr("(b & a) | d")  # commuted: same AIG node
-        m1 = plan1.vector_program().run(store.snapshot(),
-                                        shape=store.shape,
-                                        node_cache=cache)
-        keys_after_first = set(cache)
-        m2 = plan2.vector_program().run(store.snapshot(),
-                                        shape=store.shape,
-                                        node_cache=cache)
-        # The a&b node was computed once and shared.
-        shared = [key for key in keys_after_first if "&" in key]
-        assert shared
-        assert np.array_equal(store.unpack(m1),
-                              table["a"] & table["b"] | table["c"])
-        assert np.array_equal(store.unpack(m2),
-                              table["a"] & table["b"] | table["d"])
+class TestTiledExecution:
+    def test_intermediates_never_take_a_full_matrix(self):
+        """A deep plan over a table far wider than the L2 budget
+        allocates its output plus tile-sized scratch only: the run's
+        peak allocation stays below two full matrices, where one
+        full-size matrix per intermediate used to be the rule."""
+        n_bits = 1 << 24  # 2 MiB per column matrix
+        store = ColumnStore(n_bits, 4)
+        rng = np.random.default_rng(5)
+        for name in "abcdef":
+            store.add(name, rng.integers(0, 2, n_bits, dtype=np.uint8))
+        plan = compile_expr("maj(a ^ b, c & ~d, e | f) ^ (a & c & e)"
+                            " ^ ~(b | d | f)")
+        program = plan.vector_program(fused=True)
+        program.run(store.snapshot(), shape=store.shape)  # build once
+        assert program.schedule().n_scratch >= 3
+        matrix_bytes = store.shape[0] * store.shape[1] * 8
+        tracemalloc.start()
+        try:
+            counts = {}
+            result = program.run_outputs(store.snapshot(),
+                                         shape=store.shape,
+                                         counts=counts)[None]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * matrix_bytes, peak
+        assert int(counts[None].sum()) == \
+            int(store.popcounts(result).sum())
 
-    def test_cached_matrices_not_corrupted(self, store, table):
-        """Later queries must not overwrite cache-shared matrices."""
-        cache = {}
-        plan = compile_expr("a & b")
-        first = plan.vector_program().run(store.snapshot(),
-                                          shape=store.shape,
-                                          node_cache=cache)
-        snapshot = first.copy()
-        # A negated consumer of the same node, plus unrelated queries.
-        for query in ("~(a & b)", "(a & b) ^ c", "maj(a, b, c) | ~d"):
-            compile_expr(query).vector_program().run(
-                store.snapshot(), shape=store.shape, node_cache=cache)
-        assert np.array_equal(first, snapshot)
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_small_tiles_match_numpy(self, store, table, query,
+                                     monkeypatch):
+        """A budget of a few words forces many tiles per shard row."""
+        from repro.arch import expr as expr_module
 
-    def test_pool_never_hands_out_cached_matrices(self, store, table):
-        """Donated matrices must not be recycled as scratch while the
-        batch cache is alive (they would be overwritten)."""
-        cache = {}
-        pool = MatrixPool(store.shape)
-        results = {}
-        for query in ("a & b", "(a & b) | c", "(a & b) ^ d",
-                      "~(a & b)", "maj(a, b, c)"):
-            matrix = compile_expr(query).vector_program().run(
-                store.snapshot(), shape=store.shape, pool=pool,
-                node_cache=cache)
-            results[query] = (matrix, store.unpack(matrix).copy())
-        for query, (matrix, bits) in results.items():
-            assert np.array_equal(store.unpack(matrix), bits), query
+        monkeypatch.setattr(expr_module, "_TILE_BUDGET", 8 * 8)
+        program = compile_expr(query).vector_program(fused=True)
+        counts = {}
+        matrix = program.run_outputs(store.snapshot(), shape=store.shape,
+                                     mask=store.mask,
+                                     counts=counts)[None]
+        expected = numpy_eval(parse(query), table)
+        assert np.array_equal(store.unpack(matrix), expected), query
+        assert counts[None].tolist() == store.popcounts(matrix).tolist()
+
+    def test_fused_absorption_stays_exact(self, store, table):
+        """``x & (x | d)`` fuses into one ``andor`` that reads ``x``
+        twice; reusing ``x``'s dying buffer as the destination would
+        overwrite it before its second read."""
+        bc = table["b"] & table["c"]
+        for query, expected in (
+                ("(b & c) & ((b & c) | d)", bc),
+                ("(b ^ c) & ((b ^ c) | d)", table["b"] ^ table["c"])):
+            for fused in (False, True):
+                program = compile_expr(query).vector_program(fused=fused)
+                matrix = program.run(store.snapshot(), shape=store.shape)
+                assert np.array_equal(store.unpack(matrix), expected), \
+                    (query, fused)
+
+
+class TestMerge:
+    def _parts(self, queries, scope=None, colmap=None):
+        return [(query, compile_expr(query).vector_program(), colmap or {},
+                 scope) for query in queries]
+
+    def test_shared_node_runs_once_per_batch(self, store, table):
+        queries = ["(a & b) | c", "(b & a) ^ d", "a & b"]
+        merged = VectorProgram.merge(self._parts(queries))
+        keys = [step[0] for step in merged.steps]
+        assert keys.count("&(c:a,c:b)") == 1
+        outputs = merged.run_outputs(store.snapshot(), shape=store.shape)
+        ab = table["a"] & table["b"]
+        assert np.array_equal(store.unpack(outputs["a & b"]), ab)
+        assert np.array_equal(store.unpack(outputs["(a & b) | c"]),
+                              ab | table["c"])
+        assert np.array_equal(store.unpack(outputs["(b & a) ^ d"]),
+                              ab ^ table["d"])
+
+    def test_scopes_never_share(self, store, table):
+        """The same node key under two scopes names different data."""
+        parts = [("t1", compile_expr("x & y").vector_program(),
+                  {"x": "a", "y": "b"}, "t1"),
+                 ("t2", compile_expr("x & y").vector_program(),
+                  {"x": "c", "y": "d"}, "t2")]
+        merged = VectorProgram.merge(parts)
+        assert len(merged.steps) == 2
+        outputs = merged.run_outputs(store.snapshot(), shape=store.shape)
+        assert np.array_equal(store.unpack(outputs["t1"]),
+                              table["a"] & table["b"])
+        assert np.array_equal(store.unpack(outputs["t2"]),
+                              table["c"] & table["d"])
+
+    def test_merge_rejects_multi_output_programs(self):
+        from repro.arch.program import Program, compile_program
+
+        cprog = compile_program(Program([("x", parse("a & b"))],
+                                        outputs=("x",)))
+        with pytest.raises(QueryError, match="single-output"):
+            VectorProgram.merge([("p", cprog.vector_program(), {}, None)])
+
+    def test_service_batch_runs_one_merged_pass(self, table,
+                                                monkeypatch):
+        """An in-process batch enters the kernels once, with the
+        shared sub-expression computed once."""
+        seen = []
+        original = VectorProgram.run_outputs
+
+        def spy(program, columns, **kwargs):
+            seen.append(program)
+            return original(program, columns, **kwargs)
+
+        monkeypatch.setattr(VectorProgram, "run_outputs", spy)
+        with BitwiseService(n_bits=N_BITS, n_shards=3) as svc:
+            for name, bits in table.items():
+                svc.create_column(name, bits)
+            results = svc.execute(["(a & b) | c", "(a & b) ^ d", "c"])
+        assert len(seen) == 1
+        keys = [step[0] for step in seen[0].steps]
+        assert keys.count("&(c:a,c:b)") == 1
+        ab = table["a"] & table["b"]
+        for result, expected in zip(results, (ab | table["c"],
+                                              ab ^ table["d"],
+                                              table["c"])):
+            assert np.array_equal(result.bits, expected)
+            assert result.count == int(expected.sum())

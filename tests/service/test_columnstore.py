@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.errors import QueryError
 from repro.service.columnstore import (
     ColumnStore,
-    MatrixPool,
     dirty_word_indices,
     popcount_words,
     shard_spans,
@@ -221,21 +220,3 @@ class TestWordGranularIO:
         assert store.read("x", 5, 0).size == 0
 
 
-class TestMatrixPool:
-    def test_reuse(self):
-        pool = MatrixPool((2, 4))
-        a = pool.take()
-        pool.give(a)
-        assert pool.take() is a
-
-    def test_cap(self):
-        pool = MatrixPool((2, 4), cap=3)
-        matrices = [np.empty((2, 4), dtype=np.uint64) for _ in range(8)]
-        for matrix in matrices:
-            pool.give(matrix)
-        assert len(pool) == 3
-
-    def test_foreign_shape_rejected(self):
-        pool = MatrixPool((2, 4))
-        pool.give(np.empty((3, 4), dtype=np.uint64))
-        assert len(pool) == 0

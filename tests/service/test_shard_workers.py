@@ -8,7 +8,10 @@ The contract under test, end to end:
   op scripts;
 * a worker killed with ``kill -9`` mid-stream is detected, respawned
   and its job replayed with identical results (column segments are
-  read-only to workers, so replay is safe);
+  read-only to workers, so replay is safe); a failure that survives
+  the replay, and a child that dies in the spawn bootstrap, raise
+  typed errors carrying the cause;
+* a worker runs a row block wider than one tile exactly;
 * shared-memory hygiene: every ``/dev/shm`` segment this stack
   creates (``repb*``) is unlinked by ``close()`` — asserted by an
   autouse fixture around *every* test in this module — and by process
@@ -28,6 +31,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.errors import QueryError, WorkerError
 from repro.service import BitwiseService
 from repro.service.columnstore import ColumnStore
 from repro.service.shard_workers import WorkerPool
@@ -207,6 +211,138 @@ class TestWorkerCrash:
                 victim.join(timeout=10.0)
             assert svc.query("a & b", use_cache=False).count == truth
             assert svc._worker_pool.stats()["respawns"] == 3
+        finally:
+            svc.close()
+
+
+    def test_failure_after_respawn_carries_the_signal(self, rng,
+                                                      monkeypatch):
+        """A worker that dies again after its respawn raises a typed
+        error naming the signal, not a bare 'unresponsive'."""
+        respawn = WorkerPool._respawn
+
+        def respawn_and_kill(pool, index):
+            respawn(pool, index)
+            victim = pool._workers[index].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+
+        svc = _service(workers=2)
+        try:
+            for name, bits in _table(rng).items():
+                svc.create_column(name, bits)
+            svc.query("a & b", use_cache=False)
+            monkeypatch.setattr(WorkerPool, "_respawn", respawn_and_kill)
+            victim = svc._worker_pool._workers[1].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            with pytest.raises(WorkerError) as info:
+                svc.query("a | b", use_cache=False)
+            error = info.value
+            assert isinstance(error, QueryError)
+            assert error.worker == 1
+            assert error.exitcode == -signal.SIGKILL
+            assert error.signal == signal.SIGKILL
+            assert "SIGKILL" in str(error)
+        finally:
+            svc.close()
+
+    def test_job_failure_carries_the_worker_exception(self, rng):
+        """A job the worker cannot run raises a typed error with the
+        worker's exception text, remembered for later failures."""
+        from repro.arch.expr import compile_expr
+        from repro.arch.program import vector_payload
+
+        store = ColumnStore(1024, 4, shared=True)
+        pool = WorkerPool(store.shape, workers=2)
+        try:
+            store.add("a", rng.integers(0, 2, 1024, dtype=np.uint8))
+            key, spec = vector_payload(compile_expr("a & zz"))
+            with pytest.raises(WorkerError) as info:
+                pool.execute(key, spec, {"a": store.segment_name("a")},
+                             None, [None])
+            assert "zz" in info.value.last_error
+            assert "zz" in str(info.value)
+            assert "zz" in pool._workers[0].last_error
+        finally:
+            pool.close()
+            store.close()
+
+
+# ----------------------------------------------------------------------
+# spawn bootstrap failures
+# ----------------------------------------------------------------------
+class TestSpawnFailure:
+    def test_unguarded_main_script_fails_fast(self, tmp_path):
+        """A main script without the ``__main__`` guard makes every
+        spawned child re-run it and die while bootstrapping; the first
+        such death raises at once, naming the guard."""
+        script = tmp_path / "unguarded.py"
+        script.write_text(textwrap.dedent("""
+            import time
+            import numpy as np
+            from repro.errors import WorkerSpawnError
+            from repro.service import BitwiseService
+
+            svc = BitwiseService(n_bits=4096, workers=2)
+            svc._parallel_min_work = 0  # scatter to the workers
+            svc.create_column("a", np.ones(4096, dtype=np.uint8))
+            start = time.perf_counter()
+            try:
+                svc.query("a")
+            except WorkerSpawnError as exc:
+                print("respawns", svc._worker_pool.respawns)
+                print("seconds", time.perf_counter() - start)
+                print("error", exc)
+            finally:
+                svc.close()
+        """))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        done = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True,
+                              timeout=90)
+        assert done.returncode == 0, done.stderr
+        lines = dict(line.split(" ", 1)
+                     for line in done.stdout.splitlines()
+                     if line.split(" ", 1)[0] in
+                     ("respawns", "seconds", "error"))
+        assert "error" in lines, (done.stdout, done.stderr)
+        assert 'if __name__ == "__main__":' in lines["error"]
+        assert str(script) in lines["error"]
+        assert lines["respawns"] == "0"
+        # at once: well inside the 60 s reply timeout
+        assert float(lines["seconds"]) < 30.0
+
+
+# ----------------------------------------------------------------------
+# tiled execution in the workers
+# ----------------------------------------------------------------------
+class TestTiledWorkers:
+    def test_row_block_wider_than_a_tile(self):
+        """The BNN layer's schedule needs enough scratch slots that a
+        1Mi-lane shard row spans several tiles inside each worker;
+        outputs and counts still match the workload's numpy model."""
+        from repro.workloads.bnn import BnnInference
+        from repro.workloads.programs import generate_inputs
+
+        workload = BnnInference(1 << 20).as_program(seed=2)
+        inputs = generate_inputs(workload, seed=2)
+        n_lanes = workload.n_lanes
+        svc = _service(workers=2, n_bits=n_lanes)
+        try:
+            for name, bits in inputs.items():
+                svc.create_column(name, bits)
+            cprog = svc.compile_program(workload.program)
+            schedule = cprog.vector_program(fused=True).schedule()
+            row_words = svc._store.shape[1]
+            assert schedule.tile_words < row_words
+            result = svc.run_program(cprog)
+            assert svc._worker_pool.stats()["jobs"] >= 2
+            expected = workload.reference(inputs)
+            for name, bits in expected.items():
+                assert np.array_equal(result.outputs[name], bits), name
+                assert result.counts[name] == int(bits.sum()), name
         finally:
             svc.close()
 
