@@ -7,10 +7,10 @@ Tracks the tentpole claims of the compiler/service layer:
 * common-subexpression reuse widens the gap on multi-term queries;
 * the sharded service sustains batched query throughput with a working
   result cache;
-* the columnar vector backend answers the same batches as the
-  reference engine replay, bit-exactly, from whole-matrix numpy
-  kernels (the `service_batch`/`service_scale` speedups recorded in
-  ``BENCH_substrate.json``).
+* the columnar executor answers the same queries as the per-shard
+  engine replay (``tests/support/replay.py``), bit- and cycle-exactly,
+  from whole-matrix numpy kernels (the `service_batch`/`service_scale`
+  speedups recorded in ``BENCH_substrate.json``).
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ import numpy as np
 from repro.arch.expr import compile_expr, native_primitives, naive_run, parse
 from repro.arch.primitives import make_engine
 from repro.service import BitwiseService
+from tests.support.replay import EngineReplay
 
 BITMAP_QUERY = "(c0 & c1 & ~c2) | (c3 & c4 & c5)"
 CSE_QUERY = "(c0 & c1 & ~c2) | (c0 & c1 & c3) | (c4 & c5)"
@@ -99,8 +100,7 @@ def test_vector_backend_batch_throughput(benchmark):
     """The columnar executor on the perf-smoke batch shape."""
     rng = np.random.default_rng(0)
     n_bits = 1 << 18
-    service = BitwiseService("feram-2tnc", n_bits=n_bits, n_shards=4,
-                             backend="vector")
+    service = BitwiseService("feram-2tnc", n_bits=n_bits, n_shards=4)
     for name in ("a", "b", "c", "d"):
         service.create_column(
             name, (rng.random(n_bits) < 0.35).astype(np.uint8))
@@ -119,34 +119,29 @@ def test_vector_backend_batch_throughput(benchmark):
 
 
 def test_vector_backend_matches_reference_batch(benchmark):
-    """Equivalence bench: both backends answer one batch; the vector
-    results must match the replay bit-for-bit and cycle-for-cycle."""
+    """Equivalence bench: the service and the engine replay answer the
+    same queries; the service must match bit-for-bit and
+    cycle-for-cycle."""
     n_bits = 1 << 16
     queries = ["a & ~b", "(a & b & ~c) | (c & d)", "a ^ b ^ c"]
 
     def both():
-        outputs = {}
-        for backend in ("reference", "vector"):
-            svc = BitwiseService("feram-2tnc", n_bits=n_bits,
-                                 n_shards=4, backend=backend)
-            rng_local = np.random.default_rng(2)
-            for name in ("a", "b", "c", "d"):
-                svc.create_column(
-                    name,
-                    (rng_local.random(n_bits) < 0.4).astype(np.uint8))
-            try:
-                outputs[backend] = [
-                    svc.query(query, use_cache=False)
-                    for query in queries
-                ]
-            finally:
-                svc.close()
-        return outputs
+        rng_local = np.random.default_rng(2)
+        table = {name: (rng_local.random(n_bits) < 0.4).astype(np.uint8)
+                 for name in ("a", "b", "c", "d")}
+        replay = EngineReplay("feram-2tnc", n_bits=n_bits, n_shards=4)
+        with BitwiseService("feram-2tnc", n_bits=n_bits,
+                            n_shards=4) as svc:
+            for name, bits in table.items():
+                replay.create_column(name, bits)
+                svc.create_column(name, bits)
+            return [(replay.query(query),
+                     svc.query(query, use_cache=False))
+                    for query in queries]
 
-    outputs = benchmark(both)
-    for exp, act in zip(outputs["reference"], outputs["vector"]):
-        assert np.array_equal(exp.bits, act.bits), exp.query
-        assert exp.cycles == act.cycles, exp.query
+    for query, (exp, act) in zip(queries, benchmark(both)):
+        assert np.array_equal(exp.bits, act.bits), query
+        assert exp.cycles == act.cycles, query
 
 
 def test_service_cache_serves_repeats(benchmark):

@@ -157,7 +157,7 @@ def _scale_queries() -> list[str]:
             + set_ops.service_queries("c0", "c1"))
 
 
-def _service_scale(*, backend: str = "vector", fuse: bool = True,
+def _service_scale(*, fuse: bool = True,
                    workers: int | None = None,
                    repeat: int = 3) -> dict:
     """Large-scale serving throughput: mixed queries over 16Mi bits.
@@ -170,7 +170,7 @@ def _service_scale(*, backend: str = "vector", fuse: bool = True,
     rng = np.random.default_rng(1)
     queries = _scale_queries()
     with BitwiseService("feram-2tnc", n_bits=SCALE_BITS,
-                        n_shards=SCALE_SHARDS, backend=backend,
+                        n_shards=SCALE_SHARDS,
                         fuse=fuse, workers=workers) as svc:
         if workers is not None and workers > 1:
             # Worker variants measure the process tier itself: drop
@@ -204,7 +204,7 @@ WORKLOAD_SCALE_LANES = 1 << 24
 WORKLOAD_SCALE_SHARDS = 8
 
 
-def _workload_scale(*, backend: str = "vector", fuse: bool = True,
+def _workload_scale(*, fuse: bool = True,
                     workers: int | None = None,
                     repeat: int = 3) -> dict:
     """Program-executor throughput: 16Mi-lane BNN on the service.
@@ -222,8 +222,7 @@ def _workload_scale(*, backend: str = "vector", fuse: bool = True,
     assert program.n_lanes == WORKLOAD_SCALE_LANES
     inputs = generate_inputs(program, seed=1)
     with BitwiseService("feram-2tnc", n_bits=program.n_lanes,
-                        n_shards=WORKLOAD_SCALE_SHARDS,
-                        backend=backend, fuse=fuse,
+                        n_shards=WORKLOAD_SCALE_SHARDS, fuse=fuse,
                         workers=workers) as svc:
         for name, bits in inputs.items():
             svc.create_column(name, bits)
@@ -562,8 +561,8 @@ def print_summary(payload: dict) -> None:
               f"BNN lanes/s ({workload['lanes'] >> 20} Mi lanes, "
               f"{workload['statements']}-statement program), "
               f"{workload['energy_per_lane_nj']:.3f} nJ attributed "
-              f"per lane; speedup is vs the interpreted engine-replay "
-              f"backend on the same program.")
+              f"per lane; speedup is vs the seed baseline, an "
+              f"interpreted engine replay of the same program.")
     serving = payload.get("benchmarks", {}).get("serving_latency", {})
     if "qps" in serving:
         print()

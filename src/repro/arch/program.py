@@ -195,7 +195,7 @@ class ProgramBuilder:
 # compilation
 # ----------------------------------------------------------------------
 class CompiledProgram:
-    """An optimized, two-backend executable program plan."""
+    """An optimized program plan: engine replay and vector bytecode."""
 
     def __init__(self, program: Program, inverting: bool) -> None:
         self.program = program

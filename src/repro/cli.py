@@ -9,8 +9,8 @@ Four modes:
   counts;
 * ``python -m repro workload <name|all> [options]`` — run a dataflow
   workload (BNN, CRC8, XOR cipher, masked init) as a multi-statement
-  program on the service, on either execution backend, with
-  verification and per-statement cost attribution;
+  program on the service, with verification and per-statement cost
+  attribution;
 * ``python -m repro serve [options]`` — start the bulk-bitwise query
   service as an interactive console or (``--port``) a JSON-lines TCP
   server;
@@ -32,7 +32,7 @@ __all__ = ["main"]
 _USAGE = """\
 usage: python -m repro <experiment-id ...|all>
        python -m repro query "<expr>" [--tech T] [--shards N] [--bits N]
-       python -m repro workload <name|all> [--backend B] [--bytes N]
+       python -m repro workload <name|all> [--tech T] [--bytes N]
        python -m repro serve [--tech T] [--shards N] [--bits N] [--port P]
        python -m repro explore [--tech T] [--feature NM ...] [--json]
 """
@@ -49,10 +49,6 @@ def _service_parser(prog: str) -> argparse.ArgumentParser:
                         help="table width in bits (default: 1Mi)")
     parser.add_argument("--counting", action="store_true",
                         help="counting mode (no payloads; GB-scale)")
-    parser.add_argument("--backend", default="vector",
-                        choices=("vector", "reference"),
-                        help="columnar numpy executor (default) or the "
-                             "per-shard engine-replay ground truth")
     parser.add_argument("--capacity", type=int, default=None,
                         help="physical table width; rows can be "
                              "appended up to this (default: --bits)")
@@ -86,7 +82,6 @@ def _cmd_query(argv: list[str]) -> int:
     with BitwiseService(args.tech, n_bits=args.bits,
                         n_shards=args.shards,
                         functional=not args.counting,
-                        backend=args.backend,
                         capacity=args.capacity,
                         fuse=not args.no_fuse,
                         workers=args.workers) as service:
@@ -119,10 +114,6 @@ def _cmd_workload(argv: list[str]) -> int:
     parser.add_argument("--tech", default="feram-2tnc",
                         choices=("feram-2tnc", "dram"),
                         help="memory technology (default: feram-2tnc)")
-    parser.add_argument("--backend", default="vector",
-                        choices=("vector", "reference"),
-                        help="columnar numpy executor (default) or the "
-                             "per-shard engine-replay ground truth")
     parser.add_argument("--bytes", type=int, default=1 << 20,
                         help="workload data size (default: 1 MiB)")
     parser.add_argument("--shards", type=int, default=4)
@@ -142,12 +133,11 @@ def _cmd_workload(argv: list[str]) -> int:
     for name in names:
         run = run_workload(
             name, n_bytes=args.bytes, technology=args.tech,
-            backend=args.backend, n_shards=args.shards,
+            n_shards=args.shards,
             functional=not args.counting, seed=args.seed)
         payload = {
             "workload": run.workload,
             "technology": run.technology,
-            "backend": run.backend,
             "lanes": run.n_lanes,
             "statements": run.statements,
             "verified": run.verified,
@@ -169,8 +159,7 @@ def _cmd_workload(argv: list[str]) -> int:
             if run.verified is False:
                 return 1
             continue
-        print(f"workload  : {run.workload}  ({run.technology}, "
-              f"backend={run.backend})")
+        print(f"workload  : {run.workload}  ({run.technology})")
         print(f"lanes     : {run.n_lanes}  "
               f"({run.statements} program statements)")
         if run.verified is not None:
@@ -241,17 +230,14 @@ def _cmd_serve(argv: list[str]) -> int:
         run_repl,
         serve_tcp,
     )
-    from repro.service.durability import (
-        DurabilityManager,
-        recover_service,
-    )
+    from repro.service.durability import recover_service
 
     injector = FaultInjector.from_spec(
         args.inject or os.environ.get("REPRO_FAULTS"))
     if args.data_dir is not None:
-        if args.counting or args.backend != "vector":
-            parser.error("--data-dir requires the functional "
-                         "vector backend")
+        if args.counting:
+            parser.error("--data-dir requires functional mode "
+                         "(drop --counting)")
         service = recover_service(
             args.data_dir, technology=args.tech, n_bits=args.bits,
             n_shards=args.shards, capacity=args.capacity,
@@ -269,7 +255,6 @@ def _cmd_serve(argv: list[str]) -> int:
         service = BitwiseService(args.tech, n_bits=args.bits,
                                  n_shards=args.shards,
                                  functional=not args.counting,
-                                 backend=args.backend,
                                  capacity=args.capacity,
                                  fuse=not args.no_fuse,
                                  workers=args.workers)

@@ -1,28 +1,22 @@
 """Bulk-bitwise analytics service: sharded columns, compiled queries,
 batched execution, per-query cost attribution and result caching.
 
-Two interchangeable execution backends answer every query:
-
-* **vector** (default) — the columnar plan-vectorized executor: the
-  table lives in a :class:`~repro.service.columnstore.ColumnStore` as
-  packed ``(n_shards, words_per_shard)`` uint64 matrices, compiled
-  plans lower once to register-machine bytecode, and each plan step
-  runs as one whole-matrix numpy kernel (all shards at once, no
-  locks, GIL released).  Energy/cycle/primitive accounting is computed
-  in closed form from the plan's probed charge events
-  (:func:`~repro.arch.primitives.plan_stats`).  There is one store and
-  one executor: with ``workers=N`` the same store allocates its
-  matrices in shared memory, and large plans scatter to pinned worker
-  processes (:mod:`repro.service.shard_workers`) that each execute
-  their own block of shard rows and return only popcounts.  Mutations
-  write dirty words in place under the table write lock; query
-  batches and programs hold its read side while they run.
-* **reference** — the engine-replay ground truth: one
-  :class:`~repro.arch.engine.BulkEngine` per shard, thread-pool
-  fan-out behind per-shard locks.  The vector backend is pinned
-  bit-exact and Stats-exact against this path in the test suite.
-
-Select with ``BitwiseService(..., backend="vector"|"reference")``.
+One execution path answers every query and program: the columnar
+plan-vectorized executor.  The table lives in a
+:class:`~repro.service.columnstore.ColumnStore` as packed
+``(n_shards, words_per_shard)`` uint64 matrices, compiled plans lower
+once to register-machine bytecode, and each plan runs as a tiled pass
+of whole-matrix numpy kernels (all shards at once, GIL released).
+Energy/cycle/primitive accounting is computed in closed form from the
+plan's probed charge events (:func:`~repro.arch.primitives.plan_stats`)
+and is pinned bit- and Stats-exact against a per-shard
+:class:`~repro.arch.engine.BulkEngine` replay in the test suite.  With
+``workers=N`` the same store allocates its matrices in shared memory,
+and large plans scatter to pinned worker processes
+(:mod:`repro.service.shard_workers`) that each execute their own block
+of shard rows and return only popcounts.  Mutations write dirty words
+in place under the table write lock; query batches and programs hold
+its read side while they run.
 
 The serving stack on top is async and multi-tenant: an asyncio
 JSON-lines TCP server (:class:`QueryServer`) funnels every

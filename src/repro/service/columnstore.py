@@ -1,8 +1,8 @@
-"""Columnar packed-word storage for the vectorized query backend.
+"""Columnar packed-word storage for the vectorized query executor.
 
-The reference service keeps every column as per-shard engine-resident
-:class:`~repro.arch.bank.BitVector` handles; the vectorized executor
-instead holds each named column as **one contiguous packed-``uint64``
+Where a per-shard engine model keeps every column as engine-resident
+:class:`~repro.arch.bank.BitVector` handles, the service's executor
+holds each named column as **one contiguous packed-``uint64``
 matrix** of shape ``(n_shards, words_per_shard)``.  A compiled query
 then advances *all* shards together: each plan step is a single
 ``np.bitwise_*(..., out=)`` kernel over the whole 2-D matrix — no
@@ -20,9 +20,9 @@ matrices (their kernels write tile-sized scratch slots and the
 outputs), and the owning service serializes ``write``/``resize``
 against running queries with its table readers/writer lock.
 
-Shard geometry is word-aligned and identical to the reference backend's
-(:func:`shard_spans`), so results sliced per shard are bit-for-bit the
-same on both paths.  Rows beyond a shard's valid span are zero in
+Shard geometry is word-aligned (:func:`shard_spans`) and shared with
+the engine-replay oracle the test suite pins the executor against, so
+results sliced per shard are bit-for-bit comparable.  Rows beyond a shard's valid span are zero in
 column matrices and masked out of reductions (executors apply the
 precomputed validity mask, :attr:`ColumnStore.mask`), so padding
 garbage produced by NOT-like kernels never leaks into counts or
@@ -42,7 +42,7 @@ import numpy as np
 from repro.errors import QueryError
 
 __all__ = ["ColumnStore", "PackedBits", "SegmentArena",
-           "shard_spans", "popcount_words", "dirty_word_indices"]
+           "shard_spans", "popcount_words"]
 
 WORD_BITS = 64
 
@@ -50,27 +50,6 @@ WORD_BITS = 64
 #: ``repb*`` entries leak past close or process exit)
 SEGMENT_PREFIX = "repb"
 _ARENA_SEQ = itertools.count()
-
-
-def dirty_word_indices(old_bits: np.ndarray, new_bits: np.ndarray,
-                       lo: int, hi: int) -> np.ndarray:
-    """Indices of 64-bit words whose value differs inside ``[lo, hi)``.
-
-    ``old_bits``/``new_bits`` are full-width flat 0/1 arrays; only the
-    word-aligned region covering ``[lo, hi)`` is compared, so a
-    mutation is charged exactly the rows whose content actually
-    changed (rewriting identical data dirties nothing).
-    """
-    lo_w = lo // WORD_BITS
-    hi_w = (hi + WORD_BITS - 1) // WORD_BITS
-    start, stop = lo_w * WORD_BITS, min(hi_w * WORD_BITS, old_bits.size)
-    changed = old_bits[start:stop] != new_bits[start:stop]
-    if changed.size % WORD_BITS:
-        changed = np.concatenate([
-            changed, np.zeros(WORD_BITS - changed.size % WORD_BITS,
-                              dtype=bool)])
-    words = changed.reshape(-1, WORD_BITS).any(axis=1)
-    return lo_w + np.flatnonzero(words)
 
 
 def shard_spans(n_bits: int, n_shards: int) -> list[tuple[int, int]]:
@@ -195,8 +174,8 @@ class ColumnStore:
     n_bits:
         Logical table width; every column holds this many bits.
     n_shards:
-        Requested shard count (clamped to the word count like the
-        reference backend).
+        Requested shard count (clamped to the word count, see
+        :func:`shard_spans`).
     capacity:
         Physical table width the shard geometry is laid out over
         (default: ``n_bits``).  The logical width may later grow up to

@@ -848,8 +848,8 @@ def recover_service(data_dir, *, technology: str = "feram-2tnc",
     ...) configure the new process either way.  The WAL replays
     through the real service methods — recomputing every derived
     charge deterministically — then the manager attaches so new
-    traffic keeps logging.  Requires the functional vector backend
-    (the default spec of the stored technology).
+    traffic keeps logging.  The service runs in functional mode on
+    the default spec of the stored technology.
     """
     from repro.service.service import BitwiseService
 
@@ -862,7 +862,7 @@ def recover_service(data_dir, *, technology: str = "feram-2tnc",
             meta["technology"], n_bits=int(meta["n_bits"]),
             n_shards=int(meta["n_shards"]),
             capacity=int(meta["capacity"]),
-            functional=True, backend="vector", **service_kwargs)
+            functional=True, **service_kwargs)
         _restore_state(service, meta, columns)
     else:
         # Generation 0 has no snapshot; its first WAL record carries
@@ -878,8 +878,7 @@ def recover_service(data_dir, *, technology: str = "feram-2tnc",
                 "fresh data dir: recover_service needs n_bits=")
         service = BitwiseService(
             technology, n_bits=n_bits, n_shards=n_shards,
-            capacity=capacity, functional=True, backend="vector",
-            **service_kwargs)
+            capacity=capacity, functional=True, **service_kwargs)
     manager.replaying = True
     try:
         for record_meta, bits in records:

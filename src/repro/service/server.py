@@ -60,6 +60,7 @@ from repro.service.wire import (
     KIND_RESPONSE,
     decode_frame,
     decode_header,
+    decode_json_object,
     encode_frame,
 )
 from repro.service.service import (
@@ -440,7 +441,7 @@ class QueryServer:
         if not raw:
             return True
         try:
-            request = json.loads(raw.decode())
+            request = decode_json_object(raw, "request line")
             response = await self._serve(request, conn)
         except ReproError as exc:
             response = _error_payload(exc)

@@ -8,39 +8,30 @@ production-shape layer the ROADMAP's heavy-traffic north star asks
 for, in the spirit of X-SRAM's compound in-memory ops and SLIM's
 logic-in-memory pipelines.
 
-Two execution backends answer queries:
+One **columnar plan-vectorized executor** answers queries and
+programs, with one store.  Columns live in a
+:class:`~repro.service.columnstore.ColumnStore` as packed
+``(n_shards, words_per_shard)`` uint64 matrices: on the heap with one
+worker, in shared memory with ``workers > 1``.  Each compiled plan
+lowers once to register-machine bytecode
+(:meth:`~repro.arch.expr.CompiledQuery.vector_program`), which runs as
+one cache-blocked pass of ``np.bitwise_*`` kernels with the popcounts
+fused per tile.  :meth:`BitwiseService._run_batch` runs a batch under
+the table read lock: plans whose work clears a cost floor scatter to
+shard-worker processes (:mod:`repro.service.shard_workers`), and the
+rest merge into one multi-output program
+(:meth:`~repro.arch.expr.VectorProgram.merge`) that reads each column
+tile once for the whole batch and computes a sub-expression shared
+within a tenant once (a host-simulation optimization only: attributed
+costs still model each query's full plan, in the batch's sequential
+order).
 
-* ``backend="vector"`` (default) — the **columnar plan-vectorized
-  executor**, with one store and one executor.  Columns live in a
-  :class:`~repro.service.columnstore.ColumnStore` as packed
-  ``(n_shards, words_per_shard)`` uint64 matrices: on the heap with
-  one worker, in shared memory with ``workers > 1``.  Each compiled
-  plan lowers once to register-machine bytecode
-  (:meth:`~repro.arch.expr.CompiledQuery.vector_program`), which runs
-  as one cache-blocked pass of ``np.bitwise_*`` kernels with the
-  popcounts fused per tile.  :meth:`BitwiseService._run_batch` runs a
-  batch under the table read lock: plans whose work clears a cost
-  floor scatter to shard-worker processes
-  (:mod:`repro.service.shard_workers`), and the rest merge into one
-  multi-output program (:meth:`~repro.arch.expr.VectorProgram.merge`)
-  that reads each column tile once for the whole batch and computes a
-  sub-expression shared within a tenant once (a host-simulation
-  optimization only: attributed costs still model each query's full
-  plan).  Energy/cycle/primitive accounting comes from the
-  closed-form plan coster (:func:`~repro.arch.primitives.plan_stats`),
-  which is Stats-exact against an engine replay.  Programs take the
-  same path.
-
-* ``backend="reference"`` — the engine-replay path: one
-  :class:`~repro.arch.engine.BulkEngine` per shard, every (query,
-  shard) pair a thread-pool task behind per-shard locks.  Slower by
-  construction (O(plan-steps × shards) interpreted engine calls), but
-  it is the ground truth the vectorized path is pinned against
-  bit-for-bit and Stats-for-Stats in the test suite.  (Replay cost is
-  column-flag-state dependent and reference batches interleave
-  queries across shards nondeterministically, so Stats equality is
-  pinned for serialized execution; the vector backend always charges
-  the batch's deterministic sequential serialization.)
+Energy/cycle/primitive accounting comes from the closed-form plan
+coster (:func:`~repro.arch.primitives.plan_stats`), driven by the
+complement flags and FeRAM control counters a per-shard
+:class:`~repro.arch.engine.BulkEngine` replay would leave behind.  The
+test suite pins it bit- and Stats-exact against such a replay
+(``tests/support/replay.py``).
 
 The table is **mutable and multi-tenant**:
 
@@ -51,7 +42,7 @@ The table is **mutable and multi-tenant**:
   FeRAM TBA-write / DRAM restore energy, and query reads accrue
   disturb that triggers QNRO scrubs per the §II write-back economics —
   on a maintenance ledger separate from per-query compute costs.
-  Both backends write payloads in place under the write side of a
+  Writes land in place under the write side of a
   writer-preferring table lock whose read side spans each query
   batch's whole execution, so a query sees the table entirely before
   or entirely after a mutation — never a torn cross-shard mix.
@@ -72,15 +63,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.arch.bank import BitVector, pack_bits
 from repro.arch.commands import Command, CommandType, Stats
-from repro.arch.engine import BulkEngine
 from repro.arch.expr import (
     Col,
     CompiledQuery,
@@ -91,19 +79,14 @@ from repro.arch.expr import (
     canonical_key,
     compile_expr,
 )
-from repro.arch.primitives import default_spec, make_engine, plan_stats
+from repro.arch.primitives import default_spec, plan_stats
 from repro.arch.program import CompiledProgram, Program
 from repro.arch.program import compile_program as _compile_program
 from repro.arch.program import vector_payload
 from repro.arch.spec import MemorySpec
 from repro.arch.writeback import ScrubAccountant
 from repro.errors import QueryError
-from repro.service.columnstore import (
-    ColumnStore,
-    PackedBits,
-    dirty_word_indices,
-    shard_spans,
-)
+from repro.service.columnstore import ColumnStore, PackedBits, shard_spans
 from repro.service.durability import stats_to_dict
 from repro.service.shard_workers import WorkerPool
 from repro.service.tenancy import (
@@ -125,7 +108,7 @@ class QueryResult:
 
     ``payload`` holds the result bits either as a flat 0/1 array or as
     a deferred :class:`~repro.service.columnstore.PackedBits` readout
-    (the vector backend's native form — 8x smaller, and counting-only
+    (the executor's native form — 8x smaller, and counting-only
     consumers never pay the unpack).  Access :attr:`bits` to
     materialize; the property memoizes in place.
     """
@@ -182,7 +165,6 @@ class ProgramResult:
     cycles: int                     #: attributed command cycles
     elapsed_s: float                #: host wall-clock
     shards: int
-    backend: str
     detail: dict = field(default_factory=dict)
 
     @property
@@ -285,23 +267,6 @@ class _RWLock:
                 self._cond.notify_all()
 
 
-class _Shard:
-    """One engine slice: a private engine, its columns, and a lock."""
-
-    def __init__(self, index: int, engine: BulkEngine,
-                 span: tuple[int, int]) -> None:
-        self.index = index
-        self.engine = engine
-        self.span = span            # [start, stop) bits of the table
-        self.columns: dict[str, BitVector] = {}
-        self.anchor: BitVector | None = None
-        self.lock = threading.Lock()
-
-    @property
-    def n_bits(self) -> int:
-        return self.span[1] - self.span[0]
-
-
 class BitwiseService:
     """A served table of bit columns with compiled bulk-bitwise queries.
 
@@ -319,13 +284,8 @@ class BitwiseService:
         accounting only (GB-scale tables).
     cache_size:
         LRU result-cache capacity (0 disables caching).
-    backend:
-        ``"vector"`` (default) executes compiled plans as whole-matrix
-        numpy kernels with closed-form cost accounting;
-        ``"reference"`` replays plans on per-shard engines (the pinned
-        ground truth).
     workers:
-        Shard-worker processes for the vector backend.  Above 1 the
+        Shard-worker processes.  Above 1 the
         store lives in shared memory and large plans scatter across
         the workers; 1 (default) runs everything in-process.
     """
@@ -335,8 +295,6 @@ class BitwiseService:
                  functional: bool = True,
                  spec: MemorySpec | None = None,
                  cache_size: int = 64,
-                 max_workers: int | None = None,
-                 backend: str = "vector",
                  capacity: int | None = None,
                  fuse: bool = True,
                  workers: int | None = None) -> None:
@@ -344,11 +302,10 @@ class BitwiseService:
             raise QueryError("table width must be positive")
         if n_shards <= 0:
             raise QueryError("need at least one shard")
-        if backend not in ("vector", "reference"):
-            raise QueryError(f"unknown backend {backend!r} "
-                             "(expected 'vector' or 'reference')")
+        if spec is not None and spec.technology != technology:
+            raise QueryError(
+                f"spec {spec.name!r} is not a {technology!r} spec")
         self.technology = technology
-        self.backend = backend
         #: multi-process shard workers (1 = in-process serial)
         self.workers = max(1, int(workers)) if workers is not None else 1
         self.n_bits = int(n_bits)
@@ -368,40 +325,23 @@ class BitwiseService:
             // self._spec.row_bits
             for start, stop in spans
         ]
-        if backend == "reference":
-            self._shards = [
-                _Shard(i, make_engine(technology, functional=functional,
-                                      spec=spec), span)
-                for i, span in enumerate(spans)
-            ]
-            self._inverting = self._shards[0].engine._native_inverting()
-            self._pool = ThreadPoolExecutor(
-                max_workers=max_workers or self.n_shards,
-                thread_name_prefix="bitwise-shard")
-            self._store = None
-        else:
-            # Columnar state: the packed store plus per-shard analytic
-            # ledgers that mirror what per-shard engines would record.
-            if spec is not None and spec.technology != technology:
-                raise QueryError(
-                    f"spec {spec.name!r} is not a {technology!r} spec")
-            self._shards = []
-            self._pool = None
-            # Process workers map the matrices zero-copy, so with
-            # workers > 1 they live in shared memory.
-            self._store = ColumnStore(
-                self.n_bits, n_shards, capacity=self.capacity,
-                shared=self.workers > 1) if functional else None
-            self._ledger = Stats()  # merged analytic engine ledger
-            self._tba_offsets = [0] * len(spans)
-            # Complement-flag encodings the reference engines would
-            # leave each column in (parity steering re-encodes columns
-            # persistently); evolution is identical on every shard, so
-            # one flag per column drives the state-aware coster.
-            self._col_flags: dict[str, bool] = {}
-            self._rows_used = 0
-            self._inverting = self._spec.technology == "feram-2tnc"
-        #: run peephole-fused bytecode on the vector backend
+        # Process workers map the matrices zero-copy, so with
+        # workers > 1 they live in shared memory.
+        self._store = ColumnStore(
+            self.n_bits, n_shards, capacity=self.capacity,
+            shared=self.workers > 1) if functional else None
+        # Analytic state mirroring what per-shard engines would record:
+        # the merged ledger, each shard's FeRAM control counter, and the
+        # complement-flag encoding each column would be left in (parity
+        # steering re-encodes columns persistently; evolution is
+        # identical on every shard, so one flag per column drives the
+        # state-aware coster).
+        self._ledger = Stats()
+        self._tba_offsets = [0] * len(spans)
+        self._col_flags: dict[str, bool] = {}
+        self._rows_used = 0
+        self._inverting = self._spec.technology == "feram-2tnc"
+        #: run peephole-fused bytecode
         self.fuse = bool(fuse)
         self._worker_pool: WorkerPool | None = None
         self._worker_pool_lock = threading.Lock()
@@ -416,8 +356,7 @@ class BitwiseService:
         self._table_rw = _RWLock()
         # Mutation-path maintenance ledger: dirty-row write charges and
         # read-disturb scrub economics (see arch/writeback.py), kept
-        # separate from the compute ledger and identical on both
-        # backends (guarded by _stats_lock).
+        # separate from the compute ledger (guarded by _stats_lock).
         self._writeback = ScrubAccountant(self._spec, self._shard_rows)
         #: physical column registry (all tenants)
         self._columns: dict[str, int] = {}
@@ -556,38 +495,18 @@ class BitwiseService:
                     "functional service requires explicit column bits")
             self._log_wal({"kind": "create", "tenant": tenant,
                            "name": name}, bits)
-            if self.backend == "vector":
-                if self._store is not None:
-                    self._store.add(physical, bits)
-                with self._stats_lock:
-                    if self.functional:
-                        # Mirror the reference path exactly: only a
-                        # functional load charges host row writes
-                        # (counting-mode allocate charges nothing).
-                        self._ledger.record(
-                            self._spec,
-                            Command(CommandType.ROW_WRITE,
-                                    repeat=sum(self._shard_rows)))
-                    self._rows_used += sum(self._shard_rows)
-                    self._col_flags[physical] = False
-            else:
-                padded = None
+            if self._store is not None:
+                self._store.add(physical, bits)
+            with self._stats_lock:
                 if self.functional:
-                    padded = np.zeros(self.capacity, dtype=np.uint8)
-                    padded[: self.n_bits] = bits
-                for shard in self._shards:
-                    start, stop = shard.span
-                    with shard.lock:
-                        if self.functional:
-                            vec = shard.engine.load(
-                                padded[start:stop], physical,
-                                group_with=shard.anchor)
-                        else:
-                            vec = shard.engine.allocate(
-                                stop - start, physical,
-                                group_with=shard.anchor)
-                        shard.anchor = shard.anchor or vec
-                        shard.columns[physical] = vec
+                    # As on the engines: only a functional load charges
+                    # host row writes (counting-mode allocate is free).
+                    self._ledger.record(
+                        self._spec,
+                        Command(CommandType.ROW_WRITE,
+                                repeat=sum(self._shard_rows)))
+                self._rows_used += sum(self._shard_rows)
+                self._col_flags[physical] = False
             self._columns[physical] = self.n_bits
             state.columns[name] = physical
             self._maybe_checkpoint()
@@ -613,24 +532,15 @@ class BitwiseService:
             self._log_wal({"kind": "drop", "tenant": tenant,
                            "name": name})
             segment = None
-            if self.backend == "vector":
-                if self._store is not None:
-                    # Retire the segment only once no batch that may
-                    # have bound the column is still in flight: its
-                    # shard workers attach the segment by name.
-                    with self._table_rw.write():
-                        segment = self._store.drop(physical)
-                with self._stats_lock:
-                    self._rows_used -= sum(self._shard_rows)
-                    self._col_flags.pop(physical, None)
-            else:
-                for shard in self._shards:
-                    with shard.lock:
-                        vec = shard.columns.pop(physical)
-                        shard.engine.free(vec)
-                        if shard.anchor is vec:
-                            shard.anchor = next(
-                                iter(shard.columns.values()), None)
+            if self._store is not None:
+                # Retire the segment only once no batch that may have
+                # bound the column is still in flight: its shard
+                # workers attach the segment by name.
+                with self._table_rw.write():
+                    segment = self._store.drop(physical)
+            with self._stats_lock:
+                self._rows_used -= sum(self._shard_rows)
+                self._col_flags.pop(physical, None)
             del self._columns[physical]
             del state.columns[name]
             with self._stats_lock:
@@ -652,7 +562,7 @@ class BitwiseService:
         if not self.functional:
             return None
         with self._table_rw.read():
-            return self._current_bits(physical)
+            return self._store.read(physical, 0, self.n_bits)
 
     # ------------------------------------------------------------------
     # column mutation
@@ -714,8 +624,7 @@ class BitwiseService:
                            "offset": offset}, values)
             if self.functional:
                 with self._table_rw.write():
-                    words = self._write_bits(physical, offset, values,
-                                             self.n_bits)
+                    words = self._write_bits(physical, offset, values)
                 rows_by_shard = self._rows_by_shard_words(words)
             else:
                 rows_by_shard = self._rows_by_shard_span(
@@ -799,7 +708,7 @@ class BitwiseService:
                     self._store.resize(new_n)
                 per_column = {
                     physical: self._rows_by_shard_words(
-                        self._write_bits(physical, old_n, arr, old_n))
+                        self._write_bits(physical, old_n, arr))
                     for physical, arr in arrays.items()
                 } if self.functional else dict.fromkeys(
                     arrays, self._rows_by_shard_span(old_n, new_n))
@@ -830,70 +739,25 @@ class BitwiseService:
             columns_written=tuple(dict(values or {})))
 
     # -- mutation plumbing ---------------------------------------------
-    def _current_bits(self, physical: str, offset: int = 0,
-                      limit: int | None = None) -> np.ndarray:
-        """Bits ``[offset, offset + limit)`` of a column's logical
-        value, the whole column by default (table lock held)."""
-        if limit is None:
-            limit = self.n_bits
-        if self.backend == "vector":
-            return self._store.read(physical, offset, limit)
-        parts = []
-        for shard in self._shards:
-            with shard.lock:
-                parts.append(shard.columns[physical].logical_bits()
-                             [: shard.n_bits])
-        return np.concatenate(parts)[: self.n_bits][offset:offset + limit]
-
     def _write_bits(self, physical: str, offset: int,
-                    values: np.ndarray, width: int) -> np.ndarray:
+                    values: np.ndarray) -> np.ndarray:
         """Overlay ``values`` at ``offset``, plain-encoded, in place;
-        returns the changed global word indices.  ``width`` is the
-        column's logical width before the write (below the table
-        width on an append, whose new rows are still zero).
+        returns the changed global word indices.
 
         Table write lock held, so no query batch is mid-execution.
         Stat-neutral host simulation of the TBA write whose energy the
         accountant charges analytically."""
-        if self.backend == "vector":
-            words = self._store.write(physical, offset, values)
-            with self._stats_lock:
-                self._col_flags[physical] = False
-            return words
-        # The reference engines keep no word-granular layout: diff and
-        # rewrite the column's whole payload.
-        old = np.zeros(self.n_bits, dtype=np.uint8)
-        old[:width] = self._current_bits(physical, 0, width)
-        new = old.copy()
-        new[offset:offset + values.size] = values
-        padded = np.zeros(self.capacity, dtype=np.uint8)
-        padded[: new.size] = new
-        row_bits = self._spec.row_bits
-        for shard in self._shards:
-            start, stop = shard.span
-            vec = shard.columns[physical]
-            grid = np.zeros(vec.n_rows * row_bits, dtype=np.uint8)
-            grid[: stop - start] = padded[start:stop]
-            vec.payload = pack_bits(grid, row_bits)
-            vec.complemented = False
-        return dirty_word_indices(old, new, offset, offset + values.size)
+        words = self._store.write(physical, offset, values)
+        with self._stats_lock:
+            self._col_flags[physical] = False
+        return words
 
     def _normalize_encoding(self, physicals) -> None:
         """Force columns to the plain (non-complemented) encoding."""
-        if self.backend == "vector":
-            with self._stats_lock:
-                for physical in physicals:
-                    if physical in self._col_flags:
-                        self._col_flags[physical] = False
-            return
-        with self._table_rw.write():
-            for shard in self._shards:
-                for physical in physicals:
-                    vec = shard.columns.get(physical)
-                    if vec is not None and vec.complemented:
-                        if vec.payload is not None:
-                            vec.payload = ~vec.payload
-                        vec.complemented = False
+        with self._stats_lock:
+            for physical in physicals:
+                if physical in self._col_flags:
+                    self._col_flags[physical] = False
 
     def _get_worker_pool(self) -> WorkerPool:
         pool = self._worker_pool
@@ -968,7 +832,7 @@ class BitwiseService:
         if name in state.columns:
             if self.functional:
                 with self._table_rw.read():
-                    return self._current_bits(
+                    return self._store.read(
                         state.columns[name], offset, limit), \
                         self.n_bits, "column"
         else:
@@ -1073,13 +937,11 @@ class BitwiseService:
                 tenants=None) -> list[QueryResult]:
         """Execute a batch of queries.
 
-        The vector backend runs each distinct uncached plan once over
-        the whole table (in-process numpy kernels or scattered to shard
-        workers, sub-expressions shared across the batch within each
-        tenant); the reference backend fans every (query, shard) pair onto a
-        thread pool behind per-shard locks.  Results are attributed
-        per query (energy, cycles, native primitives) and cached by
-        canonical key (tenant-scoped) on both paths.
+        Each distinct uncached plan runs once over the whole table
+        (in-process numpy kernels or scattered to shard workers,
+        sub-expressions shared across the batch within each tenant).
+        Results are attributed per query (energy, cycles, native
+        primitives) and cached by canonical key (tenant-scoped).
 
         ``tenant`` binds the whole batch to one namespace;
         ``tenants`` (aligned with ``queries``) lets the async
@@ -1133,10 +995,7 @@ class BitwiseService:
                 physical: self._col_generation.get(physical, 0)
                 for item in pending.values()
                 for physical in item["colmap"].values()})
-        if self.backend == "vector":
-            outputs = self._run_batch(pending)
-        else:
-            outputs = self._run_batch_reference(pending)
+        outputs = self._run_batch(pending)
 
         results: list[QueryResult | None] = [entry[2] for entry in plans]
         for ckey, item in pending.items():
@@ -1219,13 +1078,10 @@ class BitwiseService:
                     tenant: str | None = None) -> ProgramResult:
         """Execute a multi-statement program over the table.
 
-        The vector backend runs the program's multi-output bytecode as
-        whole-matrix numpy kernels (cross-statement CSE, registers
-        recycled at last use) and expands the probed per-statement
-        charge events in closed form; the reference backend replays
-        every statement on each shard engine.  Both attribute one
-        Stats delta per statement and are pinned bit- and Stats-exact
-        against each other in the test suite.
+        The program's multi-output bytecode runs as one tiled pass of
+        numpy kernels (cross-statement CSE, slots recycled at last
+        use), and the probed per-statement charge events expand in
+        closed form into one Stats delta per statement.
         """
         self._ensure_open()
         cprog = program if isinstance(program, CompiledProgram) \
@@ -1234,12 +1090,16 @@ class BitwiseService:
             raise QueryError("program compiled for the other polarity")
         colmap = self._colmap(tenant, cprog.cols)
         start = time.perf_counter()
-        if self.backend == "vector":
-            outputs, counts, per_stmt = self._run_program_vector(
-                cprog, colmap)
-        else:
-            outputs, counts, per_stmt = self._run_program_reference(
-                cprog, colmap)
+        outputs = counts = None
+        if self.functional:
+            with self._table_rw.read():
+                ran = self._run_vector(cprog, colmap)
+            # Output matrices stay owned by the result (deferred
+            # readout) — they must NOT go back to the pool.
+            outputs = {name: PackedBits(self._store, matrix)
+                       for name, (_, matrix) in ran.items()}
+            counts = {name: count for name, (count, _) in ran.items()}
+        per_stmt = self._charge_program(cprog, colmap)
         elapsed = time.perf_counter() - start
         # Disturb accounting: every statement activates the external
         # columns it references once (a name shadowed by an earlier
@@ -1288,22 +1148,7 @@ class BitwiseService:
             naive_primitives_per_row=cprog.naive_primitives,
             energy_j=total.total_energy_j, cycles=total.total_cycles,
             elapsed_s=elapsed, shards=self.n_shards,
-            backend=self.backend, detail=total.summary())
-
-    def _run_program_vector(self, cprog: CompiledProgram,
-                            colmap: dict[str, str]):
-        """Columnar program execution + closed-form attribution."""
-        outputs = counts = None
-        if self.functional:
-            with self._table_rw.read():
-                ran = self._run_vector(cprog, colmap)
-            # Output matrices stay owned by the result (deferred
-            # readout) — they must NOT go back to the pool.
-            outputs = {name: PackedBits(self._store, matrix)
-                       for name, (_, matrix) in ran.items()}
-            counts = {name: count for name, (count, _) in ran.items()}
-        per_stmt = self._charge_program(cprog, colmap)
-        return outputs, counts, per_stmt
+            detail=total.summary())
 
     def _charge_program(self, cprog: CompiledProgram,
                         colmap: dict[str, str]) -> list[Stats]:
@@ -1359,50 +1204,8 @@ class BitwiseService:
                 self._ledger.iadd(stats)
         return per_stmt
 
-    def _run_program_reference(self, cprog: CompiledProgram,
-                               colmap: dict[str, str]):
-        """Engine replay: the whole program on every shard."""
-        with self._table_rw.read():
-            futures = [
-                self._pool.submit(self._run_program_on_shard, shard,
-                                  cprog, colmap)
-                for shard in self._shards
-            ]
-            shard_outputs = [future.result() for future in futures]
-        per_stmt = [Stats() for _ in cprog.stmt_plans]
-        for _, deltas in shard_outputs:
-            for target, delta in zip(per_stmt, deltas):
-                target.iadd(delta)
-        outputs = counts = None
-        if self.functional:
-            outputs = {
-                name: np.concatenate(
-                    [bits[name] for bits, _ in shard_outputs]
-                )[: self.n_bits]
-                for name in cprog.program.outputs
-            }
-            counts = {name: int(arr.sum())
-                      for name, arr in outputs.items()}
-        return outputs, counts, per_stmt
-
-    def _run_program_on_shard(self, shard: _Shard,
-                              cprog: CompiledProgram,
-                              colmap: dict[str, str]):
-        with shard.lock:
-            engine = shard.engine
-            columns = {logical: shard.columns[physical]
-                       for logical, physical in colmap.items()}
-            vectors, deltas = cprog.run(engine, columns,
-                                        n_bits=shard.n_bits)
-            bits = None
-            if self.functional:
-                bits = {name: vec.logical_bits()[: shard.n_bits]
-                        for name, vec in vectors.items()}
-            engine.free(*vectors.values())
-        return bits, deltas
-
     # ------------------------------------------------------------------
-    # vector backend
+    # batch execution
     # ------------------------------------------------------------------
     def _run_batch(self, pending: dict[str, dict]) -> dict[str, tuple]:
         """Columnar execution: every distinct plan runs once.
@@ -1415,8 +1218,7 @@ class BitwiseService:
         queries of one tenant share is computed once (merging is
         scoped per tenant — the same structural sub-expression names
         different data in different namespaces).  Attributed costs
-        still model each plan standalone, matching the reference
-        replay exactly.
+        still model each plan standalone, in the batch's order.
         """
         if not pending:  # all cache hits: nothing to read
             return {}
@@ -1549,57 +1351,6 @@ class BitwiseService:
         return delta
 
     # ------------------------------------------------------------------
-    # reference backend
-    # ------------------------------------------------------------------
-    def _run_batch_reference(self, pending: dict[str, dict],
-                             ) -> dict[str, tuple]:
-        """Engine replay: one thread-pool task per (query, shard).
-
-        The whole fan-out holds the table read lock, so an in-place
-        mutation can never land between two shards of one query."""
-        futures: dict[str, list] = {}
-        outputs: dict[str, tuple] = {}
-        with self._table_rw.read():
-            for ckey, item in pending.items():
-                futures[ckey] = [
-                    self._pool.submit(self._run_on_shard, shard,
-                                      item["plan"], item["colmap"])
-                    for shard in self._shards
-                ]
-            for ckey in pending:
-                start = time.perf_counter()
-                shard_outputs = [future.result()
-                                 for future in futures[ckey]]
-                elapsed = time.perf_counter() - start
-                delta = Stats()
-                for _, shard_delta in shard_outputs:
-                    delta.iadd(shard_delta)
-                if self.functional:
-                    bits = np.concatenate(
-                        [bits for bits, _ in shard_outputs]
-                    )[: self.n_bits]
-                    count = int(bits.sum())
-                else:
-                    bits, count = None, None
-                outputs[ckey] = (bits, count, delta, elapsed)
-        return outputs
-
-    def _run_on_shard(self, shard: _Shard, plan: CompiledQuery,
-                      colmap: dict[str, str]):
-        with shard.lock:
-            engine = shard.engine
-            columns = {logical: shard.columns[physical]
-                       for logical, physical in colmap.items()}
-            before = engine.stats.copy()
-            vec = plan.run(engine, columns, n_bits=shard.n_bits)
-            bits = None
-            if self.functional:
-                bits = vec.logical_bits()[: shard.n_bits]
-            engine.free(vec)
-            delta = engine.stats.minus(before)
-        return bits, delta
-
-    # ------------------------------------------------------------------
     # result cache (dependency-indexed)
     # ------------------------------------------------------------------
     @staticmethod
@@ -1717,12 +1468,10 @@ class BitwiseService:
         tenant-state delta is WAL-logged before it is applied, and
         snapshots rotate the log every ``snapshot_every`` barriers.
 
-        Requires the functional vector backend — the reference
-        backend keeps its payloads inside per-shard engines and the
-        counting mode has no payloads to persist."""
-        if self.backend != "vector" or not self.functional:
-            raise QueryError(
-                "durability requires the functional vector backend")
+        Requires functional mode: counting mode has no payloads to
+        persist."""
+        if not self.functional:
+            raise QueryError("durability requires functional mode")
         self._durability = manager
         if manager.bootstrap_needed():
             # A fresh generation-0 log opens with the geometry, so a
@@ -1844,22 +1593,12 @@ class BitwiseService:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Aggregate service counters and the merged engine ledger."""
-        merged = Stats()
-        if self.backend == "vector":
-            with self._stats_lock:
-                merged = self._ledger.copy()
-                rows_used = self._rows_used
-        else:
-            rows_used = 0
-            for shard in self._shards:
-                with shard.lock:
-                    merged.iadd(shard.engine.stats)
-                    rows_used += shard.engine.allocator.rows_used
         with self._stats_lock:
+            merged = self._ledger.copy()
+            rows_used = self._rows_used
             writeback = self._writeback.summary()
         return {
             "technology": self.technology,
-            "backend": self.backend,
             "n_bits": self.n_bits,
             "capacity": self.capacity,
             "n_shards": self.n_shards,
@@ -1893,8 +1632,6 @@ class BitwiseService:
             self._closed = True
             if self._durability is not None:
                 self._durability.close()
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
             # Workers map the store's segments: stop them first.
             if self._worker_pool is not None:
                 self._worker_pool.close()

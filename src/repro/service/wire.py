@@ -55,7 +55,7 @@ __all__ = [
     "MAGIC", "VERSION", "KIND_REQUEST", "KIND_RESPONSE",
     "HEADER", "HEADER_SIZE", "MAX_FRAME_BYTES", "FrameHeader",
     "pack_bits", "unpack_bits", "encode_frame", "decode_header",
-    "decode_frame", "read_frame_async",
+    "decode_frame", "decode_json_object", "read_frame_async",
 ]
 
 MAGIC = b"REPB"
@@ -194,6 +194,24 @@ def decode_header(data: bytes) -> FrameHeader:
     return FrameHeader(kind, flags, n_bits, meta_len, words * 8)
 
 
+def decode_json_object(data: bytes, what: str) -> dict:
+    """Parse untrusted UTF-8 JSON that must be an object.
+
+    Every failure raises :class:`ProtocolError`: bad UTF-8, bad JSON,
+    an integer literal too long to convert, nesting deep enough to
+    exhaust the parser's recursion, or a value that is not an object.
+    """
+    try:
+        value = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # includes JSON and UTF-8 decode errors
+        raise ProtocolError(f"bad {what}: {exc}") from exc
+    except RecursionError:
+        raise ProtocolError(f"{what} nests too deeply") from None
+    if not isinstance(value, dict):
+        raise ProtocolError(f"{what} must be a JSON object")
+    return value
+
+
 def decode_frame(header: FrameHeader, meta_bytes: bytes,
                  payload: bytes) -> tuple[dict, object]:
     """Decode meta + payload bytes read after :func:`decode_header`.
@@ -202,12 +220,7 @@ def decode_frame(header: FrameHeader, meta_bytes: bytes,
     one 0/1 array, or — when the metadata carries ``segment_bits`` —
     a list of arrays.  The ``segment_bits`` key is consumed.
     """
-    try:
-        meta = json.loads(meta_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"bad frame metadata: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ProtocolError("frame metadata must be a JSON object")
+    meta = decode_json_object(meta_bytes, "frame metadata")
     segments = meta.pop("segment_bits", None)
     if segments is not None:
         if not isinstance(segments, list):

@@ -1,11 +1,11 @@
-"""Workloads as multi-statement programs for the service backends.
+"""Workloads as multi-statement programs for the bitwise service.
 
 The §VI kernels were originally written as imperative loops of
 interpreted :class:`~repro.arch.engine.BulkEngine` calls; this module
 re-expresses the dataflow workloads as :class:`~repro.arch.program.
 Program` objects so they run through :meth:`~repro.service.service.
 BitwiseService.run_program` — compiled once, executed by the columnar
-vector backend as whole-matrix numpy kernels, and provably equivalent
+vector executor as whole-matrix numpy kernels, and provably equivalent
 to the engine replay via the differential test harness.
 
 The expression-level arithmetic builders here mirror the bit-sliced

@@ -3,6 +3,8 @@
 Produces the paper's comparison — per-workload energy and execution
 cycles for both technologies plus the FeRAM-over-DRAM improvement
 factors (paper headline: ≈2.5× lower energy, ≈2× fewer cycles).
+:func:`run_workload` runs one of the program-form workloads on the
+bitwise service and verifies its outputs.
 """
 
 from __future__ import annotations
@@ -59,11 +61,10 @@ def make_workloads(n_bytes: int = GIB,
 
 @dataclass
 class WorkloadServiceRun:
-    """Outcome of one program workload on a service backend."""
+    """Outcome of one program workload run on the service."""
 
     workload: str
     technology: str
-    backend: str
     n_lanes: int
     statements: int
     verified: bool | None        #: outputs vs numpy reference (None in
@@ -86,7 +87,6 @@ class WorkloadServiceRun:
 def run_workload(workload: "Workload | str", *,
                  n_bytes: int = 1 << 20,
                  technology: str = "feram-2tnc",
-                 backend: str = "vector",
                  n_shards: int = 4,
                  functional: bool = True,
                  seed: int = 0,
@@ -121,7 +121,7 @@ def run_workload(workload: "Workload | str", *,
     if owns_service:
         service = BitwiseService(
             technology, n_bits=workload_program.n_lanes,
-            n_shards=n_shards, functional=functional, backend=backend)
+            n_shards=n_shards, functional=functional)
     try:
         if service.n_bits != workload_program.n_lanes:
             raise WorkloadError(
@@ -146,7 +146,6 @@ def run_workload(workload: "Workload | str", *,
         return WorkloadServiceRun(
             workload=workload.name,
             technology=service.technology,
-            backend=service.backend,
             n_lanes=workload_program.n_lanes,
             statements=len(workload_program.program),
             verified=verified,

@@ -7,7 +7,7 @@ pass special-cases (single-step programs, every-step-an-output,
 constant-only plans, self-cancelling operands) on both technologies,
 and the wins themselves: fused plans take strictly fewer steps and
 run strictly fewer kernels on real workloads, and the shard-worker
-tier is bit- and Stats-identical to the reference replay.
+tier is bit- and Stats-identical to the engine replay.
 """
 
 import numpy as np
@@ -140,8 +140,7 @@ class TestFusedStructure:
         results = {}
         for fuse in (False, True):
             svc = BitwiseService("feram-2tnc", n_bits=N_BITS,
-                                 n_shards=3, backend="vector",
-                                 fuse=fuse)
+                                 n_shards=3, fuse=fuse)
             try:
                 for name, bits in table.items():
                     svc.create_column(name, bits)
@@ -184,7 +183,7 @@ class TestParallelExecution:
     def test_parallel_service_backend_equivalent(self, technology,
                                                  table):
         """workers=2 with the size heuristic forced open must be
-        indistinguishable from the reference replay — bits, counts,
+        indistinguishable from the engine replay — bits, counts,
         per-statement Stats, and the aggregate ledgers."""
         program = Program([
             ("t", parse("a & ~b")),

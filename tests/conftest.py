@@ -66,3 +66,16 @@ def pytest_runtest_call(item):
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(params=["plain", "replayed"])
+def service_cls(request):
+    """The service class a scenario runs on: the production service,
+    and a subclass that pins every operation it executes against the
+    engine replay (:class:`tests.support.differential.
+    ReplayCheckedService`)."""
+    from repro.service import BitwiseService
+    from tests.support.differential import ReplayCheckedService
+
+    return {"plain": BitwiseService,
+            "replayed": ReplayCheckedService}[request.param]

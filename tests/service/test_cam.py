@@ -1,6 +1,7 @@
 """CAM search layer: service match, columnstore kernel, wire forms,
 and the three workload scenarios — all differential-tested bit-exactly
-against plain-numpy oracles on both backends and both technologies.
+against plain-numpy oracles on both technologies, and against the
+engine replay through the differential harness.
 """
 
 import threading
@@ -35,16 +36,14 @@ def _records(rng, n_rows, width):
     return rng.integers(0, 2, (n_rows, width), dtype=np.uint8)
 
 
-def _make_service(tech, backend, n_bits=N_BITS, **kwargs):
-    return BitwiseService(tech, n_bits=n_bits, n_shards=2,
-                          backend=backend, **kwargs)
+def _make_service(tech, n_bits=N_BITS, cls=BitwiseService, **kwargs):
+    return cls(tech, n_bits=n_bits, n_shards=2, **kwargs)
 
 
 # ----------------------------------------------------------------------
 # service.match vs oracle
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("tech", TECHS)
-@pytest.mark.parametrize("backend", ("reference", "vector"))
 class TestServiceMatch:
     @pytest.mark.parametrize("key,mask", [
         ("0b10110", None),
@@ -52,9 +51,9 @@ class TestServiceMatch:
         ("0b11111", "0b10101"),
         ("0bxxxxx", None),
     ])
-    def test_bits_match_oracle(self, tech, backend, rng, key, mask):
+    def test_bits_match_oracle(self, tech, service_cls, rng, key, mask):
         records = _records(rng, N_BITS, 5)
-        service = _make_service(tech, backend)
+        service = _make_service(tech, cls=service_cls)
         try:
             cols = load_records(service, records)
             result = service.match(cols, key, mask)
@@ -64,9 +63,9 @@ class TestServiceMatch:
         finally:
             service.close()
 
-    def test_query_string_form(self, tech, backend, rng):
+    def test_query_string_form(self, tech, service_cls, rng):
         records = _records(rng, N_BITS, 3)
-        service = _make_service(tech, backend)
+        service = _make_service(tech, cls=service_cls)
         try:
             cols = load_records(service, records)
             via_query = service.query(
@@ -77,9 +76,9 @@ class TestServiceMatch:
             service.close()
 
     def test_match_shares_cache_with_desugared_query(
-            self, tech, backend, rng):
+            self, tech, service_cls, rng):
         records = _records(rng, N_BITS, 3)
-        service = _make_service(tech, backend)
+        service = _make_service(tech, cls=service_cls)
         try:
             cols = load_records(service, records)
             first = service.query(f"{cols[0]} & ~{cols[2]}")
@@ -90,9 +89,9 @@ class TestServiceMatch:
         finally:
             service.close()
 
-    def test_search_charges_read_path_energy(self, tech, backend, rng):
+    def test_search_charges_read_path_energy(self, tech, service_cls, rng):
         records = _records(rng, N_BITS, 4)
-        service = _make_service(tech, backend)
+        service = _make_service(tech, cls=service_cls)
         try:
             cols = load_records(service, records)
             result = service.match(cols, "0b1011", use_cache=False)
@@ -103,7 +102,7 @@ class TestServiceMatch:
 
 
 # ----------------------------------------------------------------------
-# vector vs reference vs shadow, Stats pinned per query
+# service vs engine replay vs shadow, Stats pinned per query
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("tech", TECHS)
 def test_match_differential_with_mutations(tech, rng):
@@ -167,13 +166,12 @@ class TestColumnStoreMatch:
 # scenarios
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("tech", TECHS)
-@pytest.mark.parametrize("backend", ("reference", "vector"))
 class TestScenarios:
-    def test_key_value_lookup(self, tech, backend, rng):
+    def test_key_value_lookup(self, tech, service_cls, rng):
         n, key_w, value_w = 512, 6, 8
         keys = _records(rng, n, key_w)
         values = _records(rng, n, value_w)
-        service = _make_service(tech, backend, n_bits=n)
+        service = _make_service(tech, n_bits=n, cls=service_cls)
         try:
             key_cols = load_records(service, keys, prefix="k")
             value_cols = load_records(service, values, prefix="v")
@@ -187,7 +185,7 @@ class TestScenarios:
         finally:
             service.close()
 
-    def test_packet_classification(self, tech, backend, rng):
+    def test_packet_classification(self, tech, service_cls, rng):
         n, width = 1024, 8
         packets = _records(rng, n, width)
         rules = [
@@ -196,7 +194,7 @@ class TestScenarios:
             ("0b11111111", "0b11110000"),          # masked exact
             (tuple(int(b) for b in packets[0]), None),  # specific row
         ]
-        service = _make_service(tech, backend, n_bits=n)
+        service = _make_service(tech, n_bits=n, cls=service_cls)
         try:
             cols = load_records(service, packets, prefix="p")
             assigned, results = classify_packets(service, cols, rules)
@@ -209,11 +207,11 @@ class TestScenarios:
         finally:
             service.close()
 
-    def test_hamming_topk(self, tech, backend, rng):
+    def test_hamming_topk(self, tech, service_cls, rng):
         n, width, k = 256, 6, 5
         records = _records(rng, n, width)
         probe = rng.integers(0, 2, width, dtype=np.uint8)
-        service = _make_service(tech, backend, n_bits=n)
+        service = _make_service(tech, n_bits=n, cls=service_cls)
         try:
             cols = load_records(service, records, prefix="h")
             got = hamming_topk(service, cols, tuple(probe), k)
@@ -228,8 +226,8 @@ class TestScenarios:
         finally:
             service.close()
 
-    def test_hamming_topk_requires_full_key(self, tech, backend, rng):
-        service = _make_service(tech, backend, n_bits=64)
+    def test_hamming_topk_requires_full_key(self, tech, service_cls, rng):
+        service = _make_service(tech, n_bits=64, cls=service_cls)
         try:
             cols = load_records(service, _records(rng, 64, 3))
             with pytest.raises(QueryError, match="fully-specified"):

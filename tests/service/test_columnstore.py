@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from repro.errors import QueryError
 from repro.service.columnstore import (
     ColumnStore,
-    dirty_word_indices,
     popcount_words,
     shard_spans,
 )
+from tests.support.replay import dirty_word_indices
 
 
 class TestSpans:

@@ -3,16 +3,17 @@
 Four layers:
 
 * deterministic serialized schedules through the differential
-  op-script harness (vector vs reference vs numpy shadow, full Stats);
+  op-script harness (service vs engine replay vs numpy shadow, full
+  Stats);
 * a hypothesis property over random op scripts (same harness);
 * in-place writes racing live query batches, in-process and on shard
   workers: a batch sees one table version, and deferred readouts keep
   the value they were computed from;
 * an async soak: multiple tenant clients hammer one shared async
   server concurrently with mixed query/mutation traffic; each
-  tenant's result stream must be bit-exact against a serial
-  reference-backend replay of that tenant's own schedule (namespaces
-  are disjoint, and the scheduler guarantees per-tenant FIFO).
+  tenant's result stream must be bit-exact against a serial engine
+  replay of that tenant's own schedule (namespaces are disjoint, and
+  the scheduler guarantees per-tenant FIFO).
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service import BitwiseService, serve_tcp
-from tests.support.differential import assert_ops_equivalent
+from tests.support.differential import apply_op, assert_ops_equivalent
+from tests.support.replay import EngineReplay
 
 N_BITS = 3 * 64 * 2  # 2 words per shard on 3 shards
 #: wide enough that numpy releases the GIL inside each kernel, so a
@@ -46,7 +48,7 @@ def table_for(seed: int, names=("a", "b", "c"),
 
 
 class TestDeterministicSchedules:
-    """Known-order interleavings, pinned exactly on both backends."""
+    """Known-order interleavings, pinned exactly against the replay."""
 
     def test_read_heavy_with_periodic_updates(self):
         table = table_for(1)
@@ -59,6 +61,17 @@ class TestDeterministicSchedules:
             ops.append(("update", "a", fresh))
         ops.append(("query", "a & b"))
         assert_ops_equivalent(table, ops)
+
+    def test_uncached_run_crosses_control_rewrites(self):
+        """Forty executed queries take every FeRAM shard past its
+        control-row rewrite period (32 TBA reads), so the service's
+        running control counters must stay in step with the engines'
+        across mutations too."""
+        table = table_for(9)
+        ops = [("query", query) for query in
+               ("a & b", "maj(a, b, c)", "a ^ ~c", "(a | b) & ~c")] * 10
+        ops.insert(20, ("update", "b", table["c"]))
+        assert_ops_equivalent(table, ops, cache_size=0)
 
     def test_alternating_writers_one_column(self):
         table = table_for(3)
@@ -268,37 +281,24 @@ class TestAsyncSoak:
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2 ** 10))
     def test_concurrent_tenants_match_serial_reference(self, seed):
-        """Vector/reference differential exactness under genuinely
-        concurrent interleaved updates: every tenant's async result
-        stream equals a serial reference-backend replay."""
+        """Differential exactness under genuinely concurrent
+        interleaved updates: every tenant's async result stream equals
+        a serial engine replay of that tenant's schedule."""
         n_tenants = 4
         schedules = {f"t{i}": tenant_schedule(seed * 101 + i)
                      for i in range(n_tenants)}
 
-        # Serial ground truth: a reference-backend service replays
-        # each tenant's schedule in isolation.
+        # Serial ground truth: one engine replay per tenant runs that
+        # tenant's schedule in isolation.
         expected: dict[str, list[int]] = {}
-        ref = BitwiseService(n_bits=N_BITS, n_shards=3,
-                             backend="reference")
-        try:
-            for tenant, schedule in schedules.items():
-                view = ref.tenant(tenant)
-                counts = []
-                for op in schedule:
-                    if op[0] == "create":
-                        view.create_column(op[1], op[2])
-                    elif op[0] == "update":
-                        view.update_column(op[1], op[2])
-                    elif op[0] == "write":
-                        view.write_slice(op[1], op[2], op[3])
-                    else:
-                        counts.append(view.query(op[1]).count)
-                expected[tenant] = counts
-        finally:
-            ref.close()
+        for tenant, schedule in schedules.items():
+            ref = EngineReplay(n_bits=N_BITS, n_shards=3)
+            results = [apply_op(ref, op) for op in schedule]
+            expected[tenant] = [result.count for op, result
+                                in zip(schedule, results)
+                                if op[0] == "query"]
 
-        service = BitwiseService(n_bits=N_BITS, n_shards=3,
-                                 backend="vector")
+        service = BitwiseService(n_bits=N_BITS, n_shards=3)
         server = serve_tcp(service, 0, batch_window_s=0.001)
         thread = threading.Thread(target=server.serve_forever,
                                   daemon=True)

@@ -443,11 +443,11 @@ class TestRecovery:
         with pytest.raises(QueryError, match="n_bits"):
             recover_service(data_dir, sync="none")
 
-    def test_durability_requires_functional_vector(self, data_dir):
+    def test_durability_requires_functional_mode(self, data_dir):
         service = BitwiseService("feram-2tnc", n_bits=N_BITS,
-                                 n_shards=2, backend="reference")
+                                 n_shards=2, functional=False)
         try:
-            with pytest.raises(QueryError, match="vector"):
+            with pytest.raises(QueryError, match="functional"):
                 attach(service, data_dir)
         finally:
             service.close()

@@ -19,10 +19,9 @@ def table(rng):
             for name in ("a", "b", "c")}
 
 
-@pytest.fixture(params=["vector", "reference"])
-def service(request, table):
-    svc = BitwiseService(n_bits=N_BITS, n_shards=2,
-                         backend=request.param)
+@pytest.fixture
+def service(service_cls, table):
+    svc = service_cls(n_bits=N_BITS, n_shards=2)
     for name, bits in table.items():
         svc.create_column(name, bits)
     yield svc
@@ -147,7 +146,7 @@ class TestInFlightMutationRace:
         query serves the pre-mutation value, and the update then evicts
         it, so the next query sees the update."""
         svc = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=2,
-                             backend="vector", workers=workers)
+                             workers=workers)
         try:
             for name, bits in table.items():
                 svc.create_column(name, bits)

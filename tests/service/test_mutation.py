@@ -12,19 +12,11 @@ from repro.arch.primitives import default_spec
 from repro.arch.writeback import policy_for_spec
 from repro.errors import QueryError
 from repro.service import BitwiseService
-from repro.service.columnstore import (
-    ColumnStore,
-    dirty_word_indices,
-    shard_spans,
-)
+from repro.service.columnstore import ColumnStore, shard_spans
 from tests.support.differential import assert_ops_equivalent
+from tests.support.replay import dirty_word_indices
 
 N_BITS = 4 * 64 * 3  # 3 words per shard on 4 shards
-
-
-@pytest.fixture(params=["vector", "reference"])
-def backend(request):
-    return request.param
 
 
 @pytest.fixture
@@ -33,17 +25,16 @@ def table(rng):
             for name in ("a", "b", "c")}
 
 
-def make_service(backend, table, **kwargs):
-    service = BitwiseService(n_bits=N_BITS, n_shards=4,
-                             backend=backend, **kwargs)
+def make_service(table, cls=BitwiseService, **kwargs):
+    service = cls(n_bits=N_BITS, n_shards=4, **kwargs)
     for name, bits in table.items():
         service.create_column(name, bits)
     return service
 
 
 class TestUpdateColumn:
-    def test_replaces_value(self, backend, table):
-        with make_service(backend, table) as svc:
+    def test_replaces_value(self, service_cls, table):
+        with make_service(table, service_cls) as svc:
             new = 1 - table["a"]
             result = svc.update_column("a", new)
             assert result.op == "update"
@@ -52,18 +43,18 @@ class TestUpdateColumn:
             assert result.rows_written > 0
             assert result.energy_j > 0
 
-    def test_identical_write_dirties_nothing(self, backend, table):
+    def test_identical_write_dirties_nothing(self, service_cls, table):
         """Dirty tracking diffs content: a no-op rewrite is free."""
-        with make_service(backend, table) as svc:
+        with make_service(table, service_cls) as svc:
             result = svc.update_column("a", table["a"])
             assert result.rows_written == 0
             assert result.dirty_shards == 0
             assert result.energy_j == 0.0
 
-    def test_energy_is_row_writes(self, backend, table):
+    def test_energy_is_row_writes(self, service_cls, table):
         """Mutation energy == dirty rows x the spec's TBA-write cost."""
         spec = default_spec("feram-2tnc")
-        with make_service(backend, table) as svc:
+        with make_service(table, service_cls) as svc:
             result = svc.update_column("a", 1 - table["a"])
             assert math.isclose(
                 result.energy_j,
@@ -71,21 +62,21 @@ class TestUpdateColumn:
             assert svc.stats()["writeback"]["rows_written"] == \
                 result.rows_written
 
-    def test_wrong_shape_rejected(self, backend, table):
-        with make_service(backend, table) as svc:
+    def test_wrong_shape_rejected(self, service_cls, table):
+        with make_service(table, service_cls) as svc:
             with pytest.raises(QueryError, match="outside table"):
                 svc.update_column("a", np.ones(N_BITS + 1,
                                                dtype=np.uint8))
 
-    def test_unknown_column(self, backend, table):
-        with make_service(backend, table) as svc:
+    def test_unknown_column(self, service_cls, table):
+        with make_service(table, service_cls) as svc:
             with pytest.raises(QueryError, match="no column"):
                 svc.update_column("zzz", table["a"])
 
 
 class TestWriteSlice:
-    def test_writes_only_the_slice(self, backend, table):
-        with make_service(backend, table) as svc:
+    def test_writes_only_the_slice(self, service_cls, table):
+        with make_service(table, service_cls) as svc:
             patch = np.ones(40, dtype=np.uint8)
             svc.write_slice("b", 100, patch)
             got = svc.column_bits("b")
@@ -93,25 +84,25 @@ class TestWriteSlice:
             expected[100:140] = 1
             assert np.array_equal(got, expected)
 
-    def test_single_word_write_dirties_one_row(self, backend, table):
+    def test_single_word_write_dirties_one_row(self, service_cls, table):
         """A one-word patch touches exactly one row on one shard."""
-        with make_service(backend, table) as svc:
+        with make_service(table, service_cls) as svc:
             patch = 1 - table["c"][:64]
             result = svc.write_slice("c", 0, patch)
             assert result.rows_written == 1
             assert result.dirty_shards == 1
 
-    def test_cross_shard_write_dirties_both(self, backend, table):
+    def test_cross_shard_write_dirties_both(self, service_cls, table):
         words_per_shard = N_BITS // 4 // 64
         boundary = words_per_shard * 64  # first bit of shard 1
-        with make_service(backend, table) as svc:
+        with make_service(table, service_cls) as svc:
             patch = 1 - table["a"][boundary - 8:boundary + 8]
             result = svc.write_slice("a", boundary - 8, patch)
             assert result.dirty_shards == 2
             assert result.rows_written == 2
 
-    def test_bounds_checked(self, backend, table):
-        with make_service(backend, table) as svc:
+    def test_bounds_checked(self, service_cls, table):
+        with make_service(table, service_cls) as svc:
             with pytest.raises(QueryError, match="outside table"):
                 svc.write_slice("a", N_BITS - 4,
                                 np.ones(8, dtype=np.uint8))
@@ -120,8 +111,8 @@ class TestWriteSlice:
 
 
 class TestAppendRows:
-    def test_grows_table_and_zero_fills(self, backend, table):
-        with make_service(backend, table, capacity=N_BITS + 256) as svc:
+    def test_grows_table_and_zero_fills(self, service_cls, table):
+        with make_service(table, service_cls, capacity=N_BITS + 256) as svc:
             appended = np.ones(128, dtype=np.uint8)
             result = svc.append_rows({"a": appended})
             assert svc.n_bits == N_BITS + 128
@@ -134,8 +125,8 @@ class TestAppendRows:
             assert not got_b[N_BITS:].any()
             assert result.columns_written == ("a",)
 
-    def test_queries_span_appended_rows(self, backend, table):
-        with make_service(backend, table, capacity=N_BITS + 64) as svc:
+    def test_queries_span_appended_rows(self, service_cls, table):
+        with make_service(table, service_cls, capacity=N_BITS + 64) as svc:
             svc.append_rows({"a": np.ones(64, dtype=np.uint8),
                              "b": np.ones(64, dtype=np.uint8)})
             result = svc.query("a & b")
@@ -143,13 +134,13 @@ class TestAppendRows:
             expected = int((table["a"] & table["b"]).sum()) + 64
             assert result.count == expected
 
-    def test_capacity_enforced(self, backend, table):
-        with make_service(backend, table) as svc:
+    def test_capacity_enforced(self, service_cls, table):
+        with make_service(table, service_cls) as svc:
             with pytest.raises(QueryError, match="capacity"):
                 svc.append_rows({"a": np.ones(1, dtype=np.uint8)})
 
-    def test_needs_uniform_sizes(self, backend, table):
-        with make_service(backend, table, capacity=N_BITS + 64) as svc:
+    def test_needs_uniform_sizes(self, service_cls, table):
+        with make_service(table, service_cls, capacity=N_BITS + 64) as svc:
             with pytest.raises(QueryError, match="sized"):
                 svc.append_rows({"a": np.ones(8, dtype=np.uint8),
                                  "b": np.ones(4, dtype=np.uint8)})
@@ -221,9 +212,9 @@ class TestWordGranularCost:
 
 
 class TestCountingMode:
-    def test_mutations_charge_span_rows(self, backend):
-        svc = BitwiseService(n_bits=1 << 20, n_shards=4,
-                             functional=False, backend=backend,
+    def test_mutations_charge_span_rows(self, service_cls):
+        svc = service_cls(n_bits=1 << 20, n_shards=4,
+                             functional=False,
                              capacity=(1 << 20) + 4096)
         try:
             svc.create_column("x")
@@ -242,7 +233,8 @@ class TestCountingMode:
 
 
 class TestDifferentialMutation:
-    """Vector and reference backends agree under interleaved updates."""
+    """The service and the engine replay agree under interleaved
+    updates."""
 
     def test_update_between_queries(self, table):
         assert_ops_equivalent(table, [
@@ -254,7 +246,7 @@ class TestDifferentialMutation:
 
     def test_mutation_after_parity_evolution(self, table):
         """XOR queries leave complement-encoded columns; a mutation
-        re-encodes plain on both backends identically."""
+        re-encodes plain on the service and the replay identically."""
         assert_ops_equivalent(table, [
             ("query", "a ^ b"),
             ("query", "b ^ c"),
@@ -295,7 +287,7 @@ class TestScrubEconomics:
         policy = policy_for_spec(spec)
         period = policy.reads_per_writeback
         assert period > 1
-        with make_service("vector", table, cache_size=0) as svc:
+        with make_service(table, cache_size=0) as svc:
             for _ in range(period - 1):
                 svc.query("a")
             assert svc.stats()["writeback"]["scrubs"] == 0
@@ -312,7 +304,7 @@ class TestScrubEconomics:
     def test_write_resets_disturb_counter(self, table):
         policy = policy_for_spec(default_spec("feram-2tnc"))
         period = policy.reads_per_writeback
-        with make_service("vector", table, cache_size=0) as svc:
+        with make_service(table, cache_size=0) as svc:
             for _ in range(period - 1):
                 svc.query("a")
             # A full rewrite restores polarization everywhere...
@@ -346,7 +338,7 @@ class TestScrubEconomics:
     def test_cache_hits_accrue_no_disturb(self, table):
         """Served-from-cache queries never touch the array — the
         system-level QNRO payoff."""
-        with make_service("vector", table) as svc:
+        with make_service(table) as svc:
             svc.query("a & b")
             before = svc.stats()["writeback"]["reads_noted"]
             for _ in range(50):

@@ -1,5 +1,6 @@
-"""Service program execution: backends pinned via the differential
-harness, interleaving with single queries, counting mode, caching."""
+"""Service program execution: pinned against the engine replay via the
+differential harness, interleaving with single queries, counting mode,
+caching."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tests.support.differential import (
     assert_program_equivalent,
     numpy_program_eval,
 )
+from tests.support.replay import EngineReplay
 
 N_BITS = 10_000  # not a multiple of 64 * shards
 
@@ -73,7 +75,6 @@ class TestRunProgramSemantics:
             for name, bits in expected.items():
                 assert np.array_equal(result.outputs[name], bits)
                 assert result.counts[name] == int(bits.sum())
-            assert result.backend == "vector"
             assert result.shards == 3
             assert [s.name for s in result.statements] == \
                 ["t", "u", "t", "v"]
@@ -83,14 +84,13 @@ class TestRunProgramSemantics:
     def test_interleaved_queries_and_programs(self, table):
         """Program runs and single queries share one cost state
         (column flags + FeRAM control-rewrite counters): an
-        interleaved sequence must stay Stats-exact across backends."""
-        services = {}
-        for backend in ("reference", "vector"):
-            svc = BitwiseService("feram-2tnc", n_bits=N_BITS,
-                                 n_shards=3, backend=backend)
-            for name, bits in table.items():
-                svc.create_column(name, bits)
-            services[backend] = svc
+        interleaved sequence must stay Stats-exact against the engine
+        replay."""
+        ref = EngineReplay("feram-2tnc", n_bits=N_BITS, n_shards=3)
+        vec = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=3)
+        for name, bits in table.items():
+            ref.create_column(name, bits)
+            vec.create_column(name, bits)
         try:
             sequence = [
                 ("query", "~a & ~b"),
@@ -101,26 +101,22 @@ class TestRunProgramSemantics:
             ]
             for kind, payload in sequence:
                 if kind == "query":
-                    ref = services["reference"].query(
-                        payload, use_cache=False)
-                    vec = services["vector"].query(
-                        payload, use_cache=False)
-                    assert np.array_equal(ref.bits, vec.bits)
-                    assert ref.cycles == vec.cycles, payload
+                    expected = ref.query(payload)
+                    actual = vec.query(payload, use_cache=False)
+                    assert np.array_equal(expected.bits, actual.bits)
+                    assert expected.cycles == actual.cycles, payload
                 else:
-                    ref = services["reference"].run_program(payload)
-                    vec = services["vector"].run_program(payload)
-                    assert ref.cycles == vec.cycles
-                    for rs, vs in zip(ref.statements, vec.statements):
+                    expected = ref.run_program(payload)
+                    actual = vec.run_program(payload)
+                    assert expected.cycles == actual.cycles
+                    for rs, vs in zip(expected.statements,
+                                      actual.statements):
                         assert rs.stats.allclose(vs.stats)
-            ref_stats = services["reference"].stats()
-            vec_stats = services["vector"].stats()
-            assert ref_stats["cycles_total"] == vec_stats["cycles_total"]
-            assert ref_stats["programs_run"] == \
-                vec_stats["programs_run"] == 2
+            vec_stats = vec.stats()
+            assert ref.stats()["cycles_total"] == vec_stats["cycles_total"]
+            assert vec_stats["programs_run"] == 2
         finally:
-            for svc in services.values():
-                svc.close()
+            vec.close()
 
     def test_program_plan_cache_reused(self, table):
         svc = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=2)
@@ -162,16 +158,14 @@ class TestRunProgramSemantics:
             svc.close()
 
     def test_columns_unchanged_after_program(self, table):
-        svc = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=3,
-                             backend="reference")
-        try:
-            for name, bits in table.items():
-                svc.create_column(name, bits)
-            svc.run_program(PROGRAMS["shadowing"])
-            for name, bits in table.items():
-                assert np.array_equal(svc.column_bits(name), bits)
-        finally:
-            svc.close()
+        """Parity steering may re-encode columns on the engines, but
+        never changes their logical value."""
+        ref = EngineReplay("feram-2tnc", n_bits=N_BITS, n_shards=3)
+        for name, bits in table.items():
+            ref.create_column(name, bits)
+        ref.run_program(PROGRAMS["shadowing"])
+        for name, bits in table.items():
+            assert np.array_equal(ref.column_bits(name), bits)
 
     def test_parse_program_round_trip(self, table):
         program = parse_program("t = a & b\nout = t ^ c")

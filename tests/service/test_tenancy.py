@@ -14,10 +14,9 @@ from repro.service import BitwiseService, run_repl
 N_BITS = 512
 
 
-@pytest.fixture(params=["vector", "reference"])
-def service(request):
-    svc = BitwiseService(n_bits=N_BITS, n_shards=2,
-                         backend=request.param)
+@pytest.fixture
+def service(service_cls):
+    svc = service_cls(n_bits=N_BITS, n_shards=2)
     yield svc
     svc.close()
 

@@ -1,12 +1,13 @@
 """Columnar executor vs engine replay: bit- and Stats-exactness.
 
-The vector backend (default) must be indistinguishable from the
-reference engine-replay backend: same result bits, same popcounts,
-same attributed energy/cycles per query (exact integers; energy at
-float tolerance), same aggregate service ledgers — across the full
-aliasing/parity query matrix, on both technologies, over *sequences*
-of queries (replay cost depends on the column flag encodings earlier
-queries leave behind; the state-aware coster must track that).
+The service must be indistinguishable from the per-shard engine
+replay (:class:`tests.support.replay.EngineReplay`): same result bits,
+same popcounts, same attributed energy/cycles per query (exact
+integers; energy at float tolerance), same aggregate ledgers — across
+the full aliasing/parity query matrix, on both technologies, over
+*sequences* of queries (replay cost depends on the column flag
+encodings earlier queries leave behind; the state-aware coster must
+track that).
 """
 
 import math
@@ -18,6 +19,7 @@ import pytest
 from repro.arch.expr import CompiledQuery
 from repro.errors import QueryError
 from repro.service import BitwiseService
+from tests.support.replay import EngineReplay
 
 N_BITS = 10_000  # not a multiple of 64 * shards
 
@@ -47,11 +49,10 @@ def table(rng):
             for name in "abcd"}
 
 
-def _pair(technology, table, **kwargs):
-    ref = BitwiseService(technology, n_bits=N_BITS, n_shards=3,
-                         backend="reference", **kwargs)
-    vec = BitwiseService(technology, n_bits=N_BITS, n_shards=3,
-                         backend="vector", **kwargs)
+def _pair(technology, table):
+    """``(replay, service)`` loaded with the same table."""
+    ref = EngineReplay(technology, n_bits=N_BITS, n_shards=3)
+    vec = BitwiseService(technology, n_bits=N_BITS, n_shards=3)
     for name, bits in table.items():
         ref.create_column(name, bits)
         vec.create_column(name, bits)
@@ -62,12 +63,12 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("technology", ["feram-2tnc", "dram"])
     def test_query_matrix_bit_and_stats_exact(self, technology, table):
         """Serialized execution of the full matrix: every per-query
-        result and cost must match the reference replay, including the
+        result and cost must match the engine replay, including the
         flag-state evolution across the sequence."""
         ref, vec = _pair(technology, table)
         try:
             for query in QUERY_MATRIX:
-                expected = ref.query(query, use_cache=False)
+                expected = ref.query(query)
                 actual = vec.query(query, use_cache=False)
                 assert np.array_equal(actual.bits, expected.bits), query
                 assert actual.count == expected.count, query
@@ -86,7 +87,6 @@ class TestBackendEquivalence:
             assert _energy_close(ref_stats["energy_total_nj"],
                                  vec_stats["energy_total_nj"])
         finally:
-            ref.close()
             vec.close()
 
     @pytest.mark.parametrize("technology", ["feram-2tnc", "dram"])
@@ -95,19 +95,21 @@ class TestBackendEquivalence:
         try:
             batch = ["a & ~b", "(a & b & ~c) | (c & d)", "a ^ b ^ c",
                      "maj(a, b, c) | ~d", "(a & b & ~c) | (a & b & d)"]
-            expected = ref.execute(batch, use_cache=False)
+            # The service charges a batch in its sequential order.
+            expected = [ref.query(query) for query in batch]
             actual = vec.execute(batch, use_cache=False)
-            for exp, act in zip(expected, actual):
-                assert np.array_equal(act.bits, exp.bits), exp.query
+            for query, exp, act in zip(batch, expected, actual):
+                assert np.array_equal(act.bits, exp.bits), query
                 assert act.count == exp.count
+                assert act.cycles == exp.cycles, query
+                assert _energy_close(act.energy_j, exp.energy_j), query
         finally:
-            ref.close()
             vec.close()
 
     def test_counting_mode_stats_match(self):
         kwargs = {"n_bits": 1 << 20, "n_shards": 2, "functional": False}
-        ref = BitwiseService(backend="reference", **kwargs)
-        vec = BitwiseService(backend="vector", **kwargs)
+        ref = EngineReplay(**kwargs)
+        vec = BitwiseService(**kwargs)
         try:
             for svc in (ref, vec):
                 svc.create_column("x")
@@ -119,18 +121,19 @@ class TestBackendEquivalence:
             assert vec.stats()["cycles_total"] == \
                 ref.stats()["cycles_total"] == 0
             for query in ("x & ~y", "x ^ y", "maj(x, y, x)"):
-                expected = ref.query(query, use_cache=False)
+                expected = ref.query(query)
                 actual = vec.query(query, use_cache=False)
                 assert actual.bits is None and actual.count is None
                 assert actual.cycles == expected.cycles, query
                 assert _energy_close(actual.energy_j,
                                      expected.energy_j), query
         finally:
-            ref.close()
             vec.close()
 
     def test_columns_stable_under_repeated_queries(self, table):
-        ref, vec = _pair("feram-2tnc", table)
+        vec = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=3)
+        for name, bits in table.items():
+            vec.create_column(name, bits)
         try:
             for _ in range(3):
                 vec.execute(["a & ~b", "~a & b", "a ^ b", "~(a | c)"],
@@ -138,7 +141,6 @@ class TestBackendEquivalence:
             for name, bits in table.items():
                 assert np.array_equal(vec.column_bits(name), bits)
         finally:
-            ref.close()
             vec.close()
 
 
@@ -147,14 +149,13 @@ class TestVectorBatchSemantics:
             self, table):
         """Cross-query CSE is a host-simulation optimization: the
         attributed cost of each query still models its full plan."""
-        svc = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=3,
-                             backend="vector")
+        svc = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=3)
         try:
             for name, bits in table.items():
                 svc.create_column(name, bits)
             solo = svc.query("(a & b) | c", use_cache=False)
             fresh = BitwiseService("feram-2tnc", n_bits=N_BITS,
-                                   n_shards=3, backend="vector")
+                                   n_shards=3)
             for name, bits in table.items():
                 fresh.create_column(name, bits)
             batch = fresh.execute(["(a & b) | c", "(b & a) | d"],
@@ -180,10 +181,6 @@ class TestVectorBatchSemantics:
         finally:
             svc.close()
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(QueryError, match="backend"):
-            BitwiseService(n_bits=64, backend="simd")
-
     def test_text_plan_cache_is_bounded(self, table):
         svc = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=2)
         try:
@@ -200,8 +197,7 @@ class TestVectorBatchSemantics:
         from repro.arch.spec import DRAM_8GB
 
         with pytest.raises(QueryError, match="spec"):
-            BitwiseService("feram-2tnc", n_bits=64, spec=DRAM_8GB,
-                           backend="vector")
+            BitwiseService("feram-2tnc", n_bits=64, spec=DRAM_8GB)
 
 
 class TestGenerationRace:
@@ -217,7 +213,7 @@ class TestGenerationRace:
         With 2 workers the store is in shared memory: the dropped
         column's segment is unlinked only after the batch."""
         svc = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=3,
-                             backend="vector", workers=workers)
+                             workers=workers)
         try:
             for name, bits in table.items():
                 svc.create_column(name, bits)
@@ -277,7 +273,7 @@ class TestGenerationRace:
         """An in-flight query never observes a half-mutated table:
         the drop waits until the batch that bound the column is done."""
         svc = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=3,
-                             backend="vector", workers=workers)
+                             workers=workers)
         try:
             for name, bits in table.items():
                 svc.create_column(name, bits)
@@ -321,7 +317,7 @@ class TestGenerationRace:
         fail the batch; now it waits, and the batch returns the
         pre-drop bits."""
         svc = BitwiseService("feram-2tnc", n_bits=N_BITS, n_shards=3,
-                             backend="vector", workers=2)
+                             workers=2)
         svc._parallel_min_work = 0  # force the scatter path
         try:
             for name, bits in table.items():

@@ -1,22 +1,36 @@
-"""Differential-testing harness: vector vs reference execution.
+"""Differential-testing harness: the service vs the engine replay.
 
-Two reusable assertions pin the equivalence contract of the service:
+The oracle is :class:`~tests.support.replay.EngineReplay`: one
+:class:`~repro.arch.engine.BulkEngine` per shard replaying every plan
+command by command, with no cache, tenancy, durability or scheduler.
+The service prices plans in closed form and runs them as vector
+kernels; the two must agree.  Two reusable assertions pin that
+contract:
 
 * :func:`assert_program_equivalent` — for any program and table, the
-  columnar vector backend must be indistinguishable from the engine
-  replay — same output bits, same popcounts, the same attributed
-  :class:`~repro.arch.commands.Stats` *per statement*
+  service's run must be indistinguishable from the engine replay —
+  same output bits (and the numpy truth), same popcounts, the same
+  attributed :class:`~repro.arch.commands.Stats` *per statement*
   (``Stats.allclose``: integer counts/cycles exact, energies at float
-  tolerance), and the same aggregate service ledgers.
+  tolerance), and the same aggregate ledgers.
 * :func:`assert_ops_equivalent` — for any serialized **op script**
   interleaving queries with column mutations (update / slice write /
-  append / drop / create), both backends must agree with each other
+  append / drop / create), the service must agree with the replay
   *and* with a plain-numpy shadow table after every step — bits,
   counts, per-query Stats, mutation dirty-row accounting, and the
   disturb/scrub maintenance ledger.
 
-Every workload, mutation and property test routes through here
-instead of re-implementing the comparison.
+The oracle replays only what the service executed: a query the
+service answers from its result cache executes nothing on either
+side, so column flags, FeRAM control counters and disturb counters
+stay in step.  Every workload, mutation and property test routes
+through here instead of re-implementing the comparison.
+
+:class:`ReplayCheckedService` applies the same contract inside any
+scenario: a service subclass that replays each operation it executes
+and asserts agreement on the spot, so scenario tests (CAM search,
+mutation, cache invalidation, tenancy) run once on the plain service
+and once pinned against the replay (the ``service_cls`` fixture).
 """
 
 from __future__ import annotations
@@ -25,7 +39,10 @@ import math
 
 import numpy as np
 
+from repro.arch.program import CompiledProgram
 from repro.service import BitwiseService
+from repro.service.columnstore import PackedBits
+from tests.support.replay import EngineReplay
 
 
 def numpy_program_eval(program, table):
@@ -84,41 +101,142 @@ def numpy_program_eval(program, table):
     return {name: env[name] for name in program.outputs}
 
 
-def run_program_on_backends(program, table, *,
-                            technology="feram-2tnc", n_shards=3,
-                            functional=True, warmup_queries=(),
-                            fused=True, workers=None,
-                            parallel_min_work=None):
-    """Run one program on a fresh service pair; returns
-    ``(reference_result, vector_result, reference_stats, vector_stats)``.
+def _pair(table, *, technology, n_shards, functional=True,
+          capacity=None, cache_size=64, fused=True, workers=None,
+          parallel_min_work=None):
+    """A service and an :class:`EngineReplay` loaded with ``table``.
 
-    ``warmup_queries`` run first on both services (uncached) so the
-    equivalence is also exercised from evolved column-flag state.
-    ``fused``/``workers``/``parallel_min_work`` select the vector
-    backend's executor tier (the reference replay ignores them).
+    ``fused``/``workers``/``parallel_min_work`` select the service's
+    executor tier; the replay has none.
     """
     n_bits = len(next(iter(table.values())))
-    results = {}
-    ledgers = {}
-    for backend in ("reference", "vector"):
-        service = BitwiseService(technology, n_bits=n_bits,
-                                 n_shards=n_shards,
-                                 functional=functional, backend=backend,
-                                 fuse=fused, workers=workers)
-        if parallel_min_work is not None:
-            service._parallel_min_work = parallel_min_work
+    service = BitwiseService(technology, n_bits=n_bits,
+                             n_shards=n_shards, functional=functional,
+                             capacity=capacity, cache_size=cache_size,
+                             fuse=fused, workers=workers)
+    if parallel_min_work is not None:
+        service._parallel_min_work = parallel_min_work
+    oracle = EngineReplay(technology, n_bits=n_bits, n_shards=n_shards,
+                          functional=functional, capacity=capacity)
+    try:
+        for name, bits in table.items():
+            bits = bits if functional else None
+            service.create_column(name, bits)
+            oracle.create_column(name, bits)
+    except BaseException:
+        service.close()
+        raise
+    return service, oracle
+
+
+def _assert_ledgers_match(ref_stats: dict, vec_stats: dict,
+                          label: str) -> None:
+    assert ref_stats["rows_used"] == vec_stats["rows_used"], label
+    assert ref_stats["cycles_total"] == vec_stats["cycles_total"], label
+    assert math.isclose(ref_stats["energy_total_nj"],
+                        vec_stats["energy_total_nj"],
+                        rel_tol=1e-9, abs_tol=1e-12), label
+    assert ref_stats["writeback"] == vec_stats["writeback"], label
+
+
+def _assert_mutation_matches(ref, vec, label: str) -> None:
+    assert ref.rows_written == vec.rows_written, label
+    assert ref.dirty_shards == vec.dirty_shards, label
+    assert math.isclose(ref.energy_j, vec.energy_j,
+                        rel_tol=1e-9, abs_tol=1e-15), label
+
+
+class ReplayCheckedService(BitwiseService):
+    """A service that replays all it executes on an
+    :class:`EngineReplay` and asserts agreement as it goes.
+
+    Scenario tests run it as a second arm next to the plain service,
+    so each scenario is also pinned against the engine replay: every
+    executed query plan and program must match the replay's bits,
+    counts and Stats, every mutation its dirty rows, dirty shards and
+    energy, and on close the ledgers must agree.  Cache hits execute
+    nothing and are not replayed.  Columns are replayed under their
+    physical (tenant-scoped) names.
+    """
+
+    def __init__(self, technology: str = "feram-2tnc", **kwargs):
+        super().__init__(technology, **kwargs)
+        self.replay = EngineReplay(
+            technology, n_bits=self.n_bits, n_shards=self.n_shards,
+            functional=self.functional, capacity=self.capacity)
+        assert self.replay.n_shards == self.n_shards
+
+    def create_column(self, name, bits=None, *, tenant=None) -> None:
+        super().create_column(name, bits, tenant=tenant)
+        self.replay.create_column(self._resolve(tenant, name),
+                                  bits if self.functional else None)
+
+    def drop_column(self, name, *, tenant=None) -> None:
+        physical = self._resolve(tenant, name)
+        super().drop_column(name, tenant=tenant)
+        self.replay.drop_column(physical)
+
+    def _mutate(self, op, name, offset, bits, *, tenant):
+        result = super()._mutate(op, name, offset, bits, tenant=tenant)
+        ref = self.replay.write_slice(self._resolve(tenant, name),
+                                      int(offset), bits)
+        _assert_mutation_matches(ref, result, f"{op} {name!r}")
+        return result
+
+    def append_rows(self, values=None, n=None, *, tenant=None):
+        result = super().append_rows(values, n, tenant=tenant)
+        ref = self.replay.append_rows(
+            {self._resolve(tenant, name): bits
+             for name, bits in dict(values or {}).items()},
+            n=result.n_bits)
+        _assert_mutation_matches(ref, result, "append_rows")
+        return result
+
+    def _run_batch(self, pending):
+        outputs = super()._run_batch(pending)
+        for ckey, item in pending.items():
+            payload, count, delta, _ = outputs[ckey]
+            ref = self.replay.query(item["plan"].expr, item["colmap"])
+            label = f"query {str(item['plan'].expr)!r}"
+            if self.functional:
+                bits = payload.unpack() \
+                    if isinstance(payload, PackedBits) else payload
+                assert np.array_equal(ref.bits, bits), label
+                assert ref.count == count, label
+            assert ref.cycles == delta.total_cycles, label
+            assert ref.primitives_per_row == \
+                item["plan"].primitives, label
+            detail = delta.summary()
+            assert ref.detail.keys() == detail.keys(), label
+            for key, value in ref.detail.items():
+                assert math.isclose(value, detail[key], rel_tol=1e-9,
+                                    abs_tol=1e-12), f"{label}: {key}"
+        return outputs
+
+    def run_program(self, program, *, tenant=None):
+        result = super().run_program(program, tenant=tenant)
+        cprog = program if isinstance(program, CompiledProgram) \
+            else self.compile_program(program)
+        ref = self.replay.run_program(
+            cprog, self._colmap(tenant, cprog.cols))
+        for rs, vs in zip(ref.statements, result.statements,
+                          strict=True):
+            assert rs.stats.allclose(vs.stats), \
+                f"statement {rs.index} ({rs.name!r}) Stats diverge"
+        if self.functional:
+            for name, bits in result.outputs.items():
+                assert np.array_equal(ref.outputs[name], bits), name
+                assert ref.counts[name] == result.counts[name], name
+        return result
+
+    def close(self) -> None:
+        if self._closed:
+            return
         try:
-            for name, bits in table.items():
-                service.create_column(
-                    name, bits if functional else None)
-            for query in warmup_queries:
-                service.query(query, use_cache=False)
-            results[backend] = service.run_program(program)
-            ledgers[backend] = service.stats()
+            _assert_ledgers_match(self.replay.stats(), self.stats(),
+                                  "ledgers on close")
         finally:
-            service.close()
-    return (results["reference"], results["vector"],
-            ledgers["reference"], ledgers["vector"])
+            super().close()
 
 
 def assert_program_equivalent(program, table, *,
@@ -129,13 +247,23 @@ def assert_program_equivalent(program, table, *,
                               parallel_min_work=None):
     """THE differential assertion (see module docstring).
 
-    Returns ``(reference_result, vector_result)`` for further checks.
+    ``warmup_queries`` run first on both sides (uncached) so the
+    equivalence is also exercised from evolved column-flag state.
+    Returns ``(replay_result, service_result)`` for further checks.
     """
-    ref, vec, ref_ledger, vec_ledger = run_program_on_backends(
-        program, table, technology=technology, n_shards=n_shards,
-        functional=functional, warmup_queries=warmup_queries,
-        fused=fused, workers=workers,
-        parallel_min_work=parallel_min_work)
+    service, oracle = _pair(table, technology=technology,
+                            n_shards=n_shards, functional=functional,
+                            fused=fused, workers=workers,
+                            parallel_min_work=parallel_min_work)
+    try:
+        for query in warmup_queries:
+            service.query(query, use_cache=False)
+            oracle.query(query)
+        vec = service.run_program(program)
+        ref = oracle.run_program(program)
+        vec_ledger = service.stats()
+    finally:
+        service.close()
 
     # --- bits ---------------------------------------------------------
     if functional:
@@ -159,18 +287,14 @@ def assert_program_equivalent(program, table, *,
         assert rs.name == vs.name and rs.index == vs.index
         assert rs.stats.allclose(vs.stats), (
             f"{technology}: statement {rs.index} ({rs.name!r}) Stats "
-            f"diverge:\n  reference={rs.stats}\n  vector={vs.stats}")
+            f"diverge:\n  replay={rs.stats}\n  service={vs.stats}")
 
-    # --- totals and service ledgers -----------------------------------
+    # --- totals and ledgers -------------------------------------------
     assert ref.cycles == vec.cycles
     assert math.isclose(ref.energy_j, vec.energy_j,
                         rel_tol=1e-9, abs_tol=1e-15)
     assert ref.primitives_per_row == vec.primitives_per_row
-    assert ref_ledger["rows_used"] == vec_ledger["rows_used"]
-    assert ref_ledger["cycles_total"] == vec_ledger["cycles_total"]
-    assert math.isclose(ref_ledger["energy_total_nj"],
-                        vec_ledger["energy_total_nj"],
-                        rel_tol=1e-9, abs_tol=1e-12)
+    _assert_ledgers_match(oracle.stats(), vec_ledger, technology)
     return ref, vec
 
 
@@ -209,21 +333,22 @@ def apply_op_to_shadow(shadow: dict, op: tuple) -> None:
         raise AssertionError(f"unknown op {kind!r}")
 
 
-def apply_op_to_service(service: BitwiseService, op: tuple):
-    """Apply one op; returns the QueryResult / MutationResult."""
+def apply_op(target, op: tuple):
+    """Apply one op to a service or an :class:`EngineReplay`; returns
+    its query or mutation result."""
     kind = op[0]
     if kind == "create":
-        return service.create_column(op[1], op[2])
+        return target.create_column(op[1], op[2])
     if kind == "drop":
-        return service.drop_column(op[1])
+        return target.drop_column(op[1])
     if kind == "update":
-        return service.update_column(op[1], op[2])
+        return target.update_column(op[1], op[2])
     if kind == "write":
-        return service.write_slice(op[1], op[2], op[3])
+        return target.write_slice(op[1], op[2], op[3])
     if kind == "append":
-        return service.append_rows(op[1])
+        return target.append_rows(op[1])
     if kind == "query":
-        return service.query(op[1])
+        return target.query(op[1])
     raise AssertionError(f"unknown op {kind!r}")
 
 
@@ -234,69 +359,63 @@ def assert_ops_equivalent(initial_table: dict, ops, *,
                           parallel_min_work=None):
     """Differential assertion for serialized mutation/query scripts.
 
-    Runs the same op script on a vector-backend service, a
-    reference-backend service, and a plain-numpy shadow table; after
-    every op, queries must return identical bits/counts/Stats on both
-    backends and match the shadow; mutations must charge identical
-    dirty rows/energy.  Finally the column states and the full service
-    ledgers (compute + writeback maintenance) must agree.
+    Runs the same op script on a service, an :class:`EngineReplay`
+    and a plain-numpy shadow table.  After every op, query bits and
+    counts must match the shadow; an executed query must match the
+    replay's bits, cycles and energy, while a cache hit must charge
+    nothing (and is not replayed); mutations must charge the replay's
+    dirty rows, dirty shards and energy.  Finally the column states
+    and the full ledgers (compute + write-back maintenance) must
+    agree.
 
-    ``workers``/``parallel_min_work`` select the vector backend's
-    executor tier (shared-memory process pool); the reference replay
-    ignores them.
+    ``workers``/``parallel_min_work`` select the service's executor
+    tier (shared-memory process pool).
     """
-    n_bits = len(next(iter(initial_table.values())))
-    services = {
-        backend: BitwiseService(technology, n_bits=n_bits,
-                                n_shards=n_shards, backend=backend,
-                                capacity=capacity,
-                                cache_size=cache_size,
-                                fuse=fused, workers=workers)
-        for backend in ("reference", "vector")
-    }
-    if parallel_min_work is not None:
-        services["vector"]._parallel_min_work = parallel_min_work
+    service, oracle = _pair(initial_table, technology=technology,
+                            n_shards=n_shards, capacity=capacity,
+                            cache_size=cache_size, fused=fused,
+                            workers=workers,
+                            parallel_min_work=parallel_min_work)
     shadow = {name: np.asarray(bits, dtype=np.uint8).copy()
               for name, bits in initial_table.items()}
     try:
-        for name, bits in initial_table.items():
-            for service in services.values():
-                service.create_column(name, bits)
         for step, op in enumerate(ops):
-            ref = apply_op_to_service(services["reference"], op)
-            vec = apply_op_to_service(services["vector"], op)
+            vec = apply_op(service, op)
             apply_op_to_shadow(shadow, op)
             label = f"op {step} {op[0]!r}"
             if op[0] == "query":
                 truth = numpy_query_eval(op[1], shadow)
                 assert np.array_equal(vec.bits, truth), \
-                    f"{label}: vector bits != shadow"
+                    f"{label}: service bits != shadow"
+                assert vec.count == int(truth.sum()), label
+                if vec.cache_hit:
+                    assert vec.cycles == 0 and vec.energy_j == 0.0, label
+                    continue
+            ref = apply_op(oracle, op)
+            if op[0] == "query":
                 assert np.array_equal(ref.bits, truth), \
-                    f"{label}: reference bits != shadow"
-                assert ref.count == vec.count == int(truth.sum()), label
-                assert ref.cache_hit == vec.cache_hit, label
+                    f"{label}: replay bits != shadow"
                 assert ref.cycles == vec.cycles, label
-                assert math.isclose(ref.energy_j, vec.energy_j,
-                                    rel_tol=1e-9, abs_tol=1e-15), label
+                assert ref.primitives_per_row == \
+                    vec.primitives_per_row, label
+                assert ref.detail.keys() == vec.detail.keys(), label
+                for key, value in ref.detail.items():
+                    assert math.isclose(value, vec.detail[key],
+                                        rel_tol=1e-9, abs_tol=1e-12), \
+                        f"{label}: {key}"
             elif op[0] not in ("create", "drop"):
                 assert ref.rows_written == vec.rows_written, label
                 assert ref.dirty_shards == vec.dirty_shards, label
-                assert ref.invalidated == vec.invalidated, label
+            if op[0] not in ("create", "drop"):
                 assert math.isclose(ref.energy_j, vec.energy_j,
                                     rel_tol=1e-9, abs_tol=1e-15), label
         for name, bits in shadow.items():
-            for backend, service in services.items():
-                got = service.column_bits(name)
-                assert np.array_equal(got, bits), \
-                    f"final state of {name!r} diverges on {backend}"
-        ref_stats = services["reference"].stats()
-        vec_stats = services["vector"].stats()
-        assert ref_stats["cycles_total"] == vec_stats["cycles_total"]
-        assert math.isclose(ref_stats["energy_total_nj"],
-                            vec_stats["energy_total_nj"],
-                            rel_tol=1e-9, abs_tol=1e-12)
-        assert ref_stats["writeback"] == vec_stats["writeback"]
+            for side, target in (("replay", oracle),
+                                 ("service", service)):
+                assert np.array_equal(target.column_bits(name), bits), \
+                    f"final state of {name!r} diverges on the {side}"
+        ref_stats, vec_stats = oracle.stats(), service.stats()
+        _assert_ledgers_match(ref_stats, vec_stats, "final ledgers")
         return ref_stats, vec_stats
     finally:
-        for service in services.values():
-            service.close()
+        service.close()

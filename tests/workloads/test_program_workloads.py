@@ -1,7 +1,7 @@
 """Program-form workloads: BNN / CRC8 / XOR cipher / masked init.
 
-Every workload program is pinned three ways: vector-vs-reference via
-the differential harness, outputs vs the workload's own numpy
+Every workload program is pinned three ways: service-vs-engine-replay
+via the differential harness, outputs vs the workload's own numpy
 reference, and the service runner's end-to-end verification flag.
 """
 
@@ -108,12 +108,10 @@ class TestWorkloadPrograms:
 
 
 class TestRunWorkload:
-    @pytest.mark.parametrize("backend", ["vector", "reference"])
     @pytest.mark.parametrize("name", sorted(PROGRAM_WORKLOADS))
-    def test_runner_verifies(self, name, backend):
-        run = run_workload(SMALL[name](), backend=backend, n_shards=3)
+    def test_runner_verifies(self, name):
+        run = run_workload(SMALL[name](), n_shards=3)
         assert run.verified is True
-        assert run.backend == backend
         assert run.energy_j > 0 and run.cycles > 0
         assert run.n_lanes >= 64
 
